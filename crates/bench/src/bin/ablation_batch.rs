@@ -1,14 +1,15 @@
-//! Ablation: destination-batched RPC + parallel read-set gather.
+//! Ablation: destination-batched RPC (per-destination envelope coalescing).
 //!
 //! Workload: a multi-partition YCSB-style read-modify-write mix. Each
 //! transaction writes two keys — one on its home partition, one on the next
 //! partition — and each written key's functor aggregates a read set of
 //! [`READ_SET`] reference keys owned by the writing partition's neighbors,
 //! so every functor compute must gather values from remote partitions.
-//! Unbatched, that gather is `READ_SET` sequential blocking `RemoteGet`
-//! round trips; batched, it is one `RemoteGetBatch` per owning partition
-//! with the requests fanned out in parallel, and the bus coalesces
-//! concurrent functors' traffic into shared envelopes on top.
+//! In both modes that gather is one `RemoteGetBatch` per owning partition
+//! with the requests fanned out in parallel. The toggle is the transport
+//! `Batcher` alone: batched, concurrent functors' installs, gathers and
+//! pushes to one destination share envelopes; unbatched, every message is
+//! its own transport send.
 //!
 //! The epoch is deliberately short (3 ms, not the paper's 25 ms): in the
 //! closed-loop driver throughput is proportional to `window / latency`, and

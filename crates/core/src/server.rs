@@ -1658,10 +1658,7 @@ impl ComputeEnv for Server {
     /// fetched with one `RemoteGetBatch` round trip per owner, all requests
     /// in flight before the first reply is awaited (parallel fan-out).
     fn remote_get_many(&self, keys: &[Key], bound: Timestamp) -> Result<Vec<VersionedRead>> {
-        // The grouped gather belongs to the destination-batched pipeline:
-        // without a batcher the server keeps the classic one-RPC-per-key
-        // gather, which is what the batching ablation measures against.
-        if keys.len() <= 1 || self.batcher.is_none() {
+        if keys.len() <= 1 {
             return keys.iter().map(|k| self.remote_get(k, bound)).collect();
         }
         let mut by_owner: HashMap<ServerId, Vec<usize>> = HashMap::new();
@@ -2066,24 +2063,21 @@ fn handle_msg(server: &Arc<Server>, msg: ServerMsg) -> std::ops::ControlFlow<()>
     ControlFlow::Continue(())
 }
 
-/// How many queued entries one processor turn drains at most, and how many
-/// scoped workers it fans the distinct keys out to. Small on purpose: the
-/// steady-state parallelism comes from the configured processor threads; the
-/// crew only spreads the burst an epoch grant releases all at once.
+/// How many queued entries one processor turn drains at most. Small on
+/// purpose: it only bounds the burst an epoch grant releases all at once.
 const DRAIN_LIMIT: usize = 64;
-const CREW_SIZE: usize = 4;
 
-/// Processor thread body: the BE's asynchronous functor computing pool
-/// (§IV-D), organized as a small work-crew.
+/// Processor thread body: one thread of the BE's asynchronous functor
+/// computing pool (§IV-D). Compute parallelism per server is the number of
+/// processor threads (`processors_per_server`).
 ///
-/// An epoch grant releases a burst of entries at once; instead of computing
-/// them strictly one at a time, a turn drains up to [`DRAIN_LIMIT`] entries,
-/// deduplicates them by key (computing a chain to its highest released
-/// version settles every lower version in order, so one call covers the
-/// whole burst for that key), and resolves distinct keys concurrently on a
-/// scoped crew. Dependency safety needs no extra machinery: version order
+/// An epoch grant releases a burst of entries at once; a turn drains up to
+/// [`DRAIN_LIMIT`] entries, deduplicates them by key (computing a chain to
+/// its highest released version settles every lower version in order, so one
+/// call covers the whole burst for that key), and computes the distinct keys
+/// on this thread. Dependency safety needs no extra machinery: version order
 /// within a chain is enforced by the chain itself, and concurrent computes
-/// of the same key are idempotent.
+/// of the same key by sibling processors are idempotent.
 pub(crate) fn run_processor(server: Arc<Server>, queue: Receiver<QueueEntry>) {
     // The poll slice bounds how long a kill waits for idle processors to
     // notice the shutdown flag — it is the constant floor under every
@@ -2107,39 +2101,16 @@ pub(crate) fn run_processor(server: Arc<Server>, queue: Receiver<QueueEntry>) {
                 *upto = entry.version;
             }
         }
-        let targets: Vec<(&Key, Timestamp)> = targets.into_iter().collect();
-        let failed: Mutex<Vec<Key>> = Mutex::new(Vec::new());
-        if targets.len() == 1 {
-            let (key, upto) = targets[0];
+        let mut failed: Vec<&Key> = Vec::new();
+        for (key, upto) in targets {
             if server
                 .partition
                 .compute(key, upto, server.as_env())
                 .is_err()
             {
-                failed.lock().push(key.clone());
+                failed.push(key);
             }
-        } else {
-            let crew = targets.len().min(CREW_SIZE);
-            std::thread::scope(|scope| {
-                for worker in 0..crew {
-                    let targets = &targets;
-                    let server = &server;
-                    let failed = &failed;
-                    scope.spawn(move || {
-                        for (key, upto) in targets.iter().skip(worker).step_by(crew) {
-                            if server
-                                .partition
-                                .compute(key, *upto, server.as_env())
-                                .is_err()
-                            {
-                                failed.lock().push((*key).clone());
-                            }
-                        }
-                    });
-                }
-            });
         }
-        let failed = failed.into_inner();
         server.stats.compute_errors.add(failed.len() as u64);
         // Retire the drained entries from the frontier's inflight map.
         // Computing a key to its highest released version finalizes every
@@ -2148,7 +2119,7 @@ pub(crate) fn run_processor(server: Arc<Server>, queue: Receiver<QueueEntry>) {
         // until an on-demand read computes them.
         let mut inflight = server.inflight.lock();
         for entry in &entries {
-            if failed.contains(&entry.key) {
+            if failed.contains(&&entry.key) {
                 continue;
             }
             if let Some(keys) = inflight.get_mut(&entry.version) {

@@ -1,7 +1,7 @@
 //! End-to-end engine tests on small clusters with short epochs.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aloha_common::{Key, ServerId, Value};
 use aloha_core::{fn_program, Check, Cluster, ClusterConfig, ProgramId, TxnOutcome, TxnPlan};
@@ -19,6 +19,16 @@ fn keys_on_partition(partition: u16, total: u16, count: usize) -> Vec<Key> {
         .filter(|k| k.partition(total).0 == partition)
         .take(count)
         .collect()
+}
+
+/// Blocking-lane tasks the server's executor has run so far.
+fn blocking_tasks(cluster: &Cluster, server: u16) -> u64 {
+    cluster
+        .server(ServerId(server))
+        .snapshot()
+        .child("exec")
+        .and_then(|exec| exec.counter("blocking_tasks"))
+        .expect("every server exports its executor's blocking-lane count")
 }
 
 #[test]
@@ -509,5 +519,121 @@ fn snapshot_reader_sees_settled_data_during_transform() {
         .wait_processed()
         .unwrap();
     assert_eq!(*probe.lock(), Some(Some(77)));
+    cluster.shutdown();
+}
+
+#[test]
+fn processors_compute_bursts_on_their_own_threads() {
+    // One server with one processor: every transaction's functors land in
+    // that processor's queue in one epoch release, so its turns drain many
+    // distinct keys at once.
+    const KEYS: usize = 32;
+    const TXNS: usize = 4;
+    let keys: Vec<Key> = (0..KEYS as u32)
+        .map(|i| Key::from_parts(&[b"burst", &i.to_be_bytes()]))
+        .collect();
+    let threads = Arc::new(parking_lot::Mutex::new(Vec::<Option<String>>::new()));
+    let mut builder = Cluster::builder(fast_config(1).with_processors(1));
+    let seen = Arc::clone(&threads);
+    builder.register_handler(HandlerId(1), move |_: &ComputeInput<'_>| {
+        let name = std::thread::current().name().map(str::to_owned);
+        seen.lock().push(name);
+        HandlerOutput::commit(Value::from_i64(1))
+    });
+    builder.register_program(
+        ProgramId(1),
+        fn_program(move |_ctx| {
+            Ok(keys.iter().fold(TxnPlan::new(), |plan, key| {
+                plan.write(
+                    key.clone(),
+                    Functor::User(UserFunctor::new(HandlerId(1), vec![], Vec::new())),
+                )
+            }))
+        }),
+    );
+    let cluster = builder.start().unwrap();
+    let db = cluster.database();
+    for _ in 0..TXNS {
+        let handle = db.execute(ProgramId(1), b"").unwrap();
+        assert_eq!(handle.wait_processed().unwrap(), TxnOutcome::Committed);
+    }
+    cluster.shutdown();
+
+    let threads = threads.lock();
+    assert!(
+        threads.len() >= KEYS * TXNS,
+        "every written functor computed"
+    );
+    assert!(
+        threads.iter().all(Option::is_some),
+        "a functor was computed on an unnamed transient thread: {threads:?}"
+    );
+    assert!(
+        threads
+            .iter()
+            .flatten()
+            .any(|name| name.starts_with("proc-s0-")),
+        "the processor computed the released functors: {threads:?}"
+    );
+}
+
+#[test]
+fn remote_read_set_is_gathered_with_one_request_per_owner() {
+    // Batching is off (the default): the gather still groups by owner.
+    let total = 3u16;
+    let target = keys_on_partition(0, total, 1).remove(0);
+    let mut read_set = keys_on_partition(1, total, 4);
+    read_set.extend(keys_on_partition(2, total, 4));
+
+    let mut builder = Cluster::builder(fast_config(total));
+    let summed = read_set.clone();
+    builder.register_handler(HandlerId(1), move |input: &ComputeInput<'_>| {
+        let sum = summed
+            .iter()
+            .map(|k| input.reads.i64(k).expect("every read-set key was gathered"))
+            .sum();
+        HandlerOutput::commit(Value::from_i64(sum))
+    });
+    let (program_target, program_reads) = (target.clone(), read_set.clone());
+    builder.register_program(
+        ProgramId(1),
+        fn_program(move |_ctx| {
+            Ok(TxnPlan::new().write(
+                program_target.clone(),
+                Functor::User(UserFunctor::new(
+                    HandlerId(1),
+                    program_reads.clone(),
+                    Vec::new(),
+                )),
+            ))
+        }),
+    );
+    let cluster = builder.start().unwrap();
+    for (i, key) in read_set.iter().enumerate() {
+        cluster.load(key.clone(), Value::from_i64(i as i64 + 1));
+    }
+
+    // Only the gather reaches servers 1 and 2: installs run on server 0's
+    // sharded lane. The wait is on the compute frontier, not on the outcome
+    // probe, whose on-demand compute could race the processor's and gather
+    // a second time.
+    let before = [blocking_tasks(&cluster, 1), blocking_tasks(&cluster, 2)];
+    let db = cluster.database();
+    let handle = db.execute(ProgramId(1), b"").unwrap();
+    let computed = cluster.server(ServerId(0)).epoch().wait_frontier(
+        handle.timestamp().succ(),
+        Some(Instant::now() + Duration::from_secs(10)),
+    );
+    assert!(computed, "the functor was computed");
+    let after = [blocking_tasks(&cluster, 1), blocking_tasks(&cluster, 2)];
+    assert_eq!(
+        [after[0] - before[0], after[1] - before[1]],
+        [1, 1],
+        "one RemoteGetBatch per remote owner, not one RemoteGet per key"
+    );
+
+    assert_eq!(handle.wait_processed().unwrap(), TxnOutcome::Committed);
+    let values = db.read_latest(&[target]).unwrap();
+    assert_eq!(values[0].as_ref().unwrap().as_i64(), Some((1..=8).sum()));
     cluster.shutdown();
 }

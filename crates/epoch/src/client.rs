@@ -377,18 +377,7 @@ impl EpochClient {
     ///
     /// Returns `false` on shutdown or deadline.
     pub fn wait_visible(&self, ts: Timestamp, deadline: Option<Instant>) -> bool {
-        let mut state = self.state.lock();
-        loop {
-            if state.visible >= ts {
-                return true;
-            }
-            if state.shutdown {
-                return false;
-            }
-            if self.wait(&mut state, deadline) {
-                return false;
-            }
-        }
+        self.wait_until_notified(deadline, |state| state.visible >= ts)
     }
 
     /// Raises the absorbed compute frontier to at least `ts` (monotone, like
@@ -414,18 +403,7 @@ impl EpochClient {
     ///
     /// Returns `false` on shutdown or deadline.
     pub fn wait_frontier(&self, ts: Timestamp, deadline: Option<Instant>) -> bool {
-        let mut state = self.state.lock();
-        loop {
-            if state.frontier >= ts {
-                return true;
-            }
-            if state.shutdown {
-                return false;
-            }
-            if self.wait(&mut state, deadline) {
-                return false;
-            }
-        }
+        self.wait_until_notified(deadline, |state| state.frontier >= ts)
     }
 
     /// Number of transactions currently in flight (all epochs).
@@ -445,15 +423,45 @@ impl EpochClient {
         self.changed.notify_all();
     }
 
+    /// Blocks until `reached` holds (`true`), or until shutdown or
+    /// `deadline` (`false`). Sleeps until notified, so `reached` may read only
+    /// state whose every change notifies the condvar (a grant,
+    /// `absorb_frontier`, `shutdown`), never the clock.
+    fn wait_until_notified(
+        &self,
+        deadline: Option<Instant>,
+        reached: impl Fn(&ClientState) -> bool,
+    ) -> bool {
+        let mut state = self.state.lock();
+        loop {
+            if reached(&state) {
+                return true;
+            }
+            if state.shutdown {
+                return false;
+            }
+            match deadline {
+                None => self.changed.wait(&mut state),
+                Some(d) => {
+                    if self.changed.wait_until(&mut state, d).timed_out() {
+                        return reached(&state);
+                    }
+                }
+            }
+        }
+    }
+
     /// Waits for a state change or the poll interval (whichever first),
     /// respecting `deadline`. Returns `true` if the deadline has passed.
+    ///
+    /// Only `begin_txn` and `assign_read_timestamp` poll: whether they can
+    /// issue a timestamp depends on the clock, which (a `ManualClock` in
+    /// tests) can advance without notifying the condvar.
     fn wait(
         &self,
         state: &mut parking_lot::MutexGuard<'_, ClientState>,
         deadline: Option<Instant>,
     ) -> bool {
-        // Poll-bounded wait: the clock may be a manual test clock that
-        // advances without notifying the condvar, so never sleep unbounded.
         let until = match deadline {
             Some(d) => {
                 if Instant::now() >= d {
@@ -472,6 +480,7 @@ impl EpochClient {
 mod tests {
     use super::*;
     use aloha_common::ManualClock;
+    use std::sync::Barrier;
 
     fn client_with_clock(allow_noauth: bool) -> (Arc<EpochClient>, ManualClock) {
         let clock = ManualClock::new(0);
@@ -655,6 +664,79 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         client.on_grant(grant(2, 200, 300, Timestamp::from_raw(1000)));
         assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn shutdown_wakes_unbounded_visibility_and_frontier_waits() {
+        let (client, _clock) = client_with_clock(false);
+        let never = Timestamp::from_raw(u64::MAX);
+        let started = Barrier::new(3);
+        std::thread::scope(|s| {
+            let visible = s.spawn(|| {
+                started.wait();
+                client.wait_visible(never, None)
+            });
+            let frontier = s.spawn(|| {
+                started.wait();
+                client.wait_frontier(never, None)
+            });
+            started.wait();
+            client.shutdown();
+            assert!(!visible.join().unwrap(), "shutdown fails the wait");
+            assert!(!frontier.join().unwrap(), "shutdown fails the wait");
+        });
+    }
+
+    #[test]
+    fn absorbed_and_granted_frontiers_wake_frontier_waits() {
+        let (client, _clock) = client_with_clock(false);
+        let started = Barrier::new(2);
+        std::thread::scope(|s| {
+            let absorbed = s.spawn(|| {
+                started.wait();
+                client.wait_frontier(Timestamp::from_raw(100), None)
+            });
+            started.wait();
+            client.absorb_frontier(Timestamp::from_raw(100));
+            assert!(absorbed.join().unwrap());
+
+            let granted = s.spawn(|| {
+                started.wait();
+                client.wait_frontier(Timestamp::from_raw(200), None)
+            });
+            started.wait();
+            let mut g = grant(1, 0, 100, Timestamp::from_raw(300));
+            g.frontier = Timestamp::from_raw(200);
+            client.on_grant(g);
+            assert!(granted.join().unwrap());
+        });
+    }
+
+    #[test]
+    fn bounded_waits_return_false_at_their_deadline() {
+        let (client, _clock) = client_with_clock(false);
+        let target = Timestamp::from_raw(1000);
+        let deadline = Instant::now() + Duration::from_millis(20);
+        assert!(!client.wait_visible(target, Some(deadline)));
+        assert!(Instant::now() >= deadline, "returned before its deadline");
+        let deadline = Instant::now() + Duration::from_millis(20);
+        assert!(!client.wait_frontier(target, Some(deadline)));
+        assert!(Instant::now() >= deadline, "returned before its deadline");
+        // A notification whose predicate stays false is no reason to return:
+        // a grant that settles past `target` without raising the frontier
+        // leaves a frontier wait asleep until its deadline.
+        let started = Barrier::new(2);
+        let deadline = Instant::now() + Duration::from_millis(50);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                started.wait();
+                client.wait_frontier(target, Some(deadline))
+            });
+            started.wait();
+            client.on_grant(grant(1, 0, 100, Timestamp::from_raw(2000)));
+            assert!(!waiter.join().unwrap());
+            assert!(Instant::now() >= deadline, "returned before its deadline");
+        });
     }
 
     #[test]

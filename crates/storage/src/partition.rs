@@ -102,8 +102,8 @@ impl ComputeEnv for LocalOnlyEnv {
 }
 
 /// How many independently locked shards a [`PushCache`] uses. Power of two,
-/// sized so the functor-computing crew (a handful of processors plus the
-/// executor's sharded workers) rarely collides on one lock.
+/// sized so the threads that compute functors and apply pushes (a server's
+/// processors plus its executor's workers) rarely collide on one lock.
 const PUSH_CACHE_SHARDS: usize = 16;
 
 /// Cache of proactively pushed values, keyed by (functor version, source
