@@ -18,14 +18,30 @@
 //! and the fold counter absorbs the rest — that boundedness (at a modest,
 //! sweep-interval-tunable throughput cost) is the claim under test.
 //!
+//! A load-only row comes first: 250 k YCSB rows stored into one bare
+//! `Partition` (no cluster, no threads), reporting what one stored row
+//! costs — process RSS growth per row and the store's own `approx_bytes`
+//! per row. It runs before any cluster has grown and freed the heap, so the
+//! RSS growth is the load's alone, and it is the same with or without
+//! `--full`.
+//!
 //! The quick shape is CI-sized. `--full --servers 64` approaches the
 //! paper-scale shape (64 partitions x 156,250 keys = 10 M keys).
+
+use std::sync::Arc;
+use std::time::Instant;
 
 use aloha_bench::harness::ALOHA_EPOCH;
 use aloha_bench::multiproc::{tcp_ycsb_run, tcp_ycsb_run_tuned};
 use aloha_bench::{aloha_ycsb_run, aloha_ycsb_run_tuned, BenchOpts, BenchReport, RunResult};
-use aloha_common::stats::StatsSnapshot;
+use aloha_common::stats::{process_rss_bytes, StatsSnapshot};
+use aloha_common::{PartitionId, Value};
+use aloha_functor::HandlerRegistry;
+use aloha_storage::Partition;
 use aloha_workloads::ycsb::YcsbConfig;
+
+/// Rows the load-only footprint row stores.
+const FOOTPRINT_ROWS: u32 = 250_000;
 
 /// Committed versions retained per chain when compaction is on.
 const KEEP_VERSIONS: usize = 1;
@@ -83,12 +99,53 @@ fn emit(name: &str, r: &RunResult) {
     );
 }
 
+/// The load-only footprint row: `FOOTPRINT_ROWS` YCSB rows into a bare
+/// partition. Its result carries the load rate as `tput_ktps` (k rows/s)
+/// and, in its snapshot, the per-row RSS growth and `approx_bytes` beside
+/// the partition's `memory` subtree.
+fn footprint(cfg: &YcsbConfig) -> RunResult {
+    let partition = Partition::new(PartitionId(0), 1, Arc::new(HandlerRegistry::new()));
+    let rss_before = process_rss_bytes();
+    let start = Instant::now();
+    for idx in 0..FOOTPRINT_ROWS {
+        partition.load(&cfg.key(0, idx), Value::from_i64(0));
+    }
+    let load_s = start.elapsed().as_secs_f64();
+    let rss_after = process_rss_bytes();
+    let mem = partition.store().memory_stats();
+    let rows = u64::from(FOOTPRINT_ROWS);
+    let rss_per_row = rss_after.saturating_sub(rss_before) / rows;
+    let approx_per_row = mem.approx_bytes as u64 / rows;
+    println!("# Load-only footprint: {rows} YCSB rows into one bare partition");
+    println!("config,rows,load_s,rss_bytes_per_row,approx_bytes_per_row");
+    println!("load-only/bare-partition,{rows},{load_s:.3},{rss_per_row},{approx_per_row}");
+    let mut snapshot = StatsSnapshot::new("footprint");
+    snapshot.set_counter("rows", rows);
+    snapshot.set_gauge("rss_bytes_per_row", rss_per_row);
+    snapshot.set_gauge("approx_bytes_per_row", approx_per_row);
+    snapshot.set_gauge("process_rss_bytes", rss_after);
+    snapshot.push_child(mem.snapshot("memory"));
+    RunResult {
+        tput_ktps: rows as f64 / load_s / 1_000.0,
+        mean_latency_ms: 0.0,
+        p50_latency_ms: 0.0,
+        p99_latency_ms: 0.0,
+        committed: 0,
+        aborted: 0,
+        snapshot,
+    }
+}
+
 fn main() {
     let opts = BenchOpts::parse();
     let servers = opts.servers();
     // Quick: CI-sized key space. Full: 156,250 keys/partition, so
     // `--full --servers 64` is the 10 M-key paper shape.
     let keys_per_partition: u32 = if opts.full { 156_250 } else { 20_000 };
+    let mut report = BenchReport::new("ablation_memory", servers, opts.duration().as_secs_f64());
+    let cfg = YcsbConfig::with_contention_index(servers, 0.01)
+        .with_keys_per_partition(keys_per_partition);
+    report.push("load-only/bare-partition", footprint(&cfg));
     println!(
         "# Ablation: memory model, {servers} servers, {keys_per_partition} keys/partition, \
          YCSB low contention, keep_versions={KEEP_VERSIONS}"
@@ -97,9 +154,6 @@ fn main() {
         "config,tput_ktps,fc_p50_ms,fc_p99_ms,mem_partitions,live_records,settled_records,\
          compacted_records,rss_mb"
     );
-    let mut report = BenchReport::new("ablation_memory", servers, opts.duration().as_secs_f64());
-    let cfg = YcsbConfig::with_contention_index(servers, 0.01)
-        .with_keys_per_partition(keys_per_partition);
     let driver = opts.driver(8, 64);
 
     let mut run = |name: &str, result: RunResult| {

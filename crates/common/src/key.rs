@@ -1,11 +1,113 @@
 //! Keys and values of the hash-partitioned key-functor store.
+//!
+//! Both types share one private representation: a payload of up to 23
+//! bytes is stored inline, in the space a shared [`Bytes`] window would
+//! take, and a longer one is a window of a reference-counted buffer. Almost
+//! every stored key and numeric value is short, so a row in the store costs
+//! no allocation for either; a long payload decoded from a wire frame stays
+//! a zero-copy window of that frame.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
 
 use crate::ids::PartitionId;
+
+/// Payload bytes stored inline: what fits in a shared window's size beside
+/// the one-byte length, less the pointer word that tells the two forms
+/// apart (a shared window's buffer pointer is never null).
+const INLINE_CAP: usize = std::mem::size_of::<Bytes>() - std::mem::size_of::<usize>() - 1;
+
+/// Inline or shared storage for the bytes of a [`Key`] or [`Value`].
+/// Equality, ordering and hashing are all defined on the bytes, so two
+/// payloads with the same bytes are interchangeable whichever form holds
+/// them.
+#[derive(Clone)]
+enum Payload {
+    Inline { len: u8, buf: [u8; INLINE_CAP] },
+    Shared(Bytes),
+}
+
+// The inline form must not make keys or values any larger than the shared
+// window they replace.
+const _: () = assert!(std::mem::size_of::<Payload>() == std::mem::size_of::<Bytes>());
+const _: () = assert!(std::mem::size_of::<Key>() == 32 && std::mem::size_of::<Value>() == 32);
+
+impl Payload {
+    /// Copies `bytes` inline if they fit, else into a new shared buffer.
+    fn copy(bytes: &[u8]) -> Payload {
+        if bytes.len() > INLINE_CAP {
+            return Payload::Shared(Bytes::copy_from_slice(bytes));
+        }
+        let mut buf = [0; INLINE_CAP];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Payload::Inline {
+            len: bytes.len() as u8,
+            buf,
+        }
+    }
+
+    /// Takes an owned buffer, copying it inline if it fits.
+    fn from_vec(bytes: Vec<u8>) -> Payload {
+        if bytes.len() > INLINE_CAP {
+            Payload::Shared(Bytes::from(bytes))
+        } else {
+            Payload::copy(&bytes)
+        }
+    }
+
+    /// Keeps a long window shared (zero-copy); copies a short one inline so
+    /// it does not pin the buffer it was cut from.
+    fn from_bytes(bytes: Bytes) -> Payload {
+        if bytes.len() > INLINE_CAP {
+            Payload::Shared(bytes)
+        } else {
+            Payload::copy(&bytes)
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Payload::Inline { len, buf } => &buf[..usize::from(*len)],
+            Payload::Shared(bytes) => bytes,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Payload::Inline { .. } => 0,
+            Payload::Shared(bytes) => bytes.len(),
+        }
+    }
+}
+
+impl Default for Payload {
+    fn default() -> Payload {
+        Payload::copy(&[])
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Payload {}
+
+impl PartialOrd for Payload {
+    fn partial_cmp(&self, other: &Payload) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Payload {
+    fn cmp(&self, other: &Payload) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
 
 /// An opaque binary key in the distributed table.
 ///
@@ -14,7 +116,9 @@ use crate::ids::PartitionId;
 /// byte payload; [`Key::from_parts`] provides an unambiguous length-prefixed
 /// encoding for that purpose.
 ///
-/// Keys are cheaply cloneable ([`Bytes`] is reference counted).
+/// Keys are cheap to clone: a key of up to 23 bytes is stored inline and
+/// copied with the struct, a longer one is a reference-counted [`Bytes`]
+/// window.
 ///
 /// # Examples
 ///
@@ -26,12 +130,12 @@ use crate::ids::PartitionId;
 /// assert_eq!(a, b);
 /// ```
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct Key(Bytes);
+pub struct Key(Payload);
 
 impl Key {
     /// Creates a key from raw bytes.
     pub fn new(bytes: impl Into<Bytes>) -> Key {
-        Key(bytes.into())
+        Key(Payload::from_bytes(bytes.into()))
     }
 
     /// Builds a composite key from parts using a length-prefixed encoding, so
@@ -41,7 +145,7 @@ impl Key {
         for part in parts {
             Self::push_part(&mut buf, part);
         }
-        Key(Bytes::from(buf))
+        Key(Payload::from_vec(buf))
     }
 
     /// Magic prefix marking a key with an explicit routing tag.
@@ -60,7 +164,7 @@ impl Key {
         for part in parts {
             Self::push_part(&mut buf, part);
         }
-        Key(Bytes::from(buf))
+        Key(Payload::from_vec(buf))
     }
 
     fn push_part(buf: &mut Vec<u8>, part: &[u8]) {
@@ -71,9 +175,10 @@ impl Key {
 
     /// The explicit routing tag, if this key carries one.
     pub fn route(&self) -> Option<u32> {
-        if self.0.len() >= 6 && self.0[..2] == Self::ROUTE_MAGIC {
+        let bytes = self.as_bytes();
+        if bytes.len() >= 6 && bytes[..2] == Self::ROUTE_MAGIC {
             Some(u32::from_be_bytes(
-                self.0[2..6].try_into().expect("checked length"),
+                bytes[2..6].try_into().expect("checked length"),
             ))
         } else {
             None
@@ -84,9 +189,9 @@ impl Key {
     /// if the key was not built with `from_parts`/`with_route` framing.
     pub fn parts(&self) -> Option<Vec<&[u8]>> {
         let mut rest: &[u8] = if self.route().is_some() {
-            &self.0[6..]
+            &self.as_bytes()[6..]
         } else {
-            &self.0
+            self.as_bytes()
         };
         let mut parts = Vec::new();
         while !rest.is_empty() {
@@ -106,17 +211,23 @@ impl Key {
 
     /// Returns the raw key bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        self.0.as_slice()
     }
 
     /// Length of the key in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// Whether the key is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_bytes().is_empty()
+    }
+
+    /// Payload bytes this key keeps on the heap: 0 for a key stored inline
+    /// (memory accounting).
+    pub fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
     }
 
     /// The partition that owns this key: `route % partitions` for routed
@@ -145,7 +256,7 @@ impl Key {
 
     fn fnv1a(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in self.0.iter() {
+        for &b in self.as_bytes() {
             hash ^= b as u64;
             hash = hash.wrapping_mul(0x1000_0000_01b3);
         }
@@ -155,21 +266,21 @@ impl Key {
 
 impl Hash for Key {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        self.as_bytes().hash(state);
     }
 }
 
 impl fmt::Debug for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Key(")?;
-        for &b in self.0.iter().take(24) {
+        for &b in self.as_bytes().iter().take(24) {
             if (0x20..0x7f).contains(&b) {
                 write!(f, "{}", b as char)?;
             } else {
                 write!(f, "\\x{b:02x}")?;
             }
         }
-        if self.0.len() > 24 {
+        if self.len() > 24 {
             write!(f, "…")?;
         }
         write!(f, ")")
@@ -178,29 +289,32 @@ impl fmt::Debug for Key {
 
 impl From<&[u8]> for Key {
     fn from(bytes: &[u8]) -> Key {
-        Key(Bytes::copy_from_slice(bytes))
+        Key(Payload::copy(bytes))
     }
 }
 
 impl From<Vec<u8>> for Key {
     fn from(bytes: Vec<u8>) -> Key {
-        Key(Bytes::from(bytes))
+        Key(Payload::from_vec(bytes))
     }
 }
 
 impl From<&str> for Key {
     fn from(s: &str) -> Key {
-        Key(Bytes::copy_from_slice(s.as_bytes()))
+        Key(Payload::copy(s.as_bytes()))
     }
 }
 
 impl From<Bytes> for Key {
     fn from(bytes: Bytes) -> Key {
-        Key(bytes)
+        Key(Payload::from_bytes(bytes))
     }
 }
 
 /// An opaque binary value: the "final form" of a functor (§III-D).
+///
+/// Stored like a [`Key`]: up to 23 bytes inline (every numeric value is),
+/// longer values as a shared [`Bytes`] window.
 ///
 /// # Examples
 ///
@@ -210,39 +324,45 @@ impl From<Bytes> for Key {
 /// assert_eq!(v.as_i64(), Some(150));
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
-pub struct Value(Bytes);
+pub struct Value(Payload);
 
 impl Value {
     /// Creates a value from raw bytes.
     pub fn new(bytes: impl Into<Bytes>) -> Value {
-        Value(bytes.into())
+        Value(Payload::from_bytes(bytes.into()))
     }
 
     /// Encodes a signed 64-bit integer value (used by the numeric f-types
     /// ADD/SUBTR/MAX/MIN and by the microbenchmark counters).
     pub fn from_i64(v: i64) -> Value {
-        Value(Bytes::copy_from_slice(&v.to_be_bytes()))
+        Value(Payload::copy(&v.to_be_bytes()))
     }
 
     /// Decodes the value as a signed 64-bit integer, if it is exactly 8 bytes.
     pub fn as_i64(&self) -> Option<i64> {
-        let arr: [u8; 8] = self.0.as_ref().try_into().ok()?;
+        let arr: [u8; 8] = self.as_bytes().try_into().ok()?;
         Some(i64::from_be_bytes(arr))
     }
 
     /// Returns the raw value bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        self.0.as_slice()
     }
 
     /// Length of the value in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// Whether the value is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_bytes().is_empty()
+    }
+
+    /// Payload bytes this value keeps on the heap: 0 for a value stored
+    /// inline (memory accounting).
+    pub fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
     }
 }
 
@@ -251,26 +371,26 @@ impl fmt::Debug for Value {
         if let Some(i) = self.as_i64() {
             write!(f, "Value(i64:{i})")
         } else {
-            write!(f, "Value({} bytes)", self.0.len())
+            write!(f, "Value({} bytes)", self.len())
         }
     }
 }
 
 impl From<Vec<u8>> for Value {
     fn from(bytes: Vec<u8>) -> Value {
-        Value(Bytes::from(bytes))
+        Value(Payload::from_vec(bytes))
     }
 }
 
 impl From<&[u8]> for Value {
     fn from(bytes: &[u8]) -> Value {
-        Value(Bytes::copy_from_slice(bytes))
+        Value(Payload::copy(bytes))
     }
 }
 
 impl From<Bytes> for Value {
     fn from(bytes: Bytes) -> Value {
-        Value(bytes)
+        Value(Payload::from_bytes(bytes))
     }
 }
 
@@ -369,6 +489,103 @@ mod tests {
         // A raw key whose framing is broken (length prefix points past end).
         let k = Key::new(vec![0x00, 0xff, 0x01]);
         assert!(k.parts().is_none());
+    }
+
+    /// Reference FNV-1a over a plain byte slice.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
+
+    fn std_hash(value: &(impl Hash + ?Sized)) -> u64 {
+        let mut state = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut state);
+        state.finish()
+    }
+
+    /// `len` distinct-looking bytes, and a window over them cut from the
+    /// middle of a larger buffer.
+    fn payload(len: usize) -> (Vec<u8>, Bytes) {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+        let mut backing = vec![0xaa; 5];
+        backing.extend_from_slice(&bytes);
+        backing.extend_from_slice(&[0xbb; 3]);
+        (bytes, Bytes::from(backing).slice(5..5 + len))
+    }
+
+    fn points_into(bytes: &[u8], buffer: &Bytes) -> bool {
+        let base = buffer.as_ref().as_ptr() as usize;
+        let ptr = bytes.as_ptr() as usize;
+        ptr >= base && ptr + bytes.len() <= base + buffer.len()
+    }
+
+    #[test]
+    fn keys_agree_with_their_bytes_across_the_inline_boundary() {
+        let mut all: Vec<(Key, Vec<u8>)> = Vec::new();
+        for len in 0..64 {
+            let (bytes, window) = payload(len);
+            let mut framed = (len as u16).to_be_bytes().to_vec();
+            framed.extend_from_slice(&bytes);
+            let mut routed = vec![0xff, 0xfe, 0, 0, 0, 9];
+            routed.extend_from_slice(&framed);
+            let built = [
+                (Key::from(&bytes[..]), bytes.clone()),
+                (Key::from(bytes.clone()), bytes.clone()),
+                (Key::new(window.clone()), bytes.clone()),
+                (Key::from(window.clone()), bytes.clone()),
+                (Key::from_parts(&[&bytes]), framed),
+                (Key::with_route(9, &[&bytes]), routed),
+            ];
+            for (key, expected) in built {
+                assert_eq!(key.as_bytes(), &expected[..], "len {len}");
+                assert_eq!(key.len(), expected.len());
+                assert_eq!(key, Key::from(&expected[..]));
+                assert_eq!(std_hash(&key), std_hash(&expected[..]));
+                assert_eq!(key.stable_hash(), fnv1a(&expected));
+                let by_hash = PartitionId((fnv1a(&expected) % 7) as u16);
+                let placed = key.route().map_or(by_hash, |r| PartitionId((r % 7) as u16));
+                assert_eq!(key.partition(7), placed);
+                assert_eq!(key.heap_bytes() == 0, expected.len() <= INLINE_CAP);
+                all.push((key, expected));
+            }
+            // A short key copied out of a larger buffer does not pin it; a
+            // long one stays a zero-copy window.
+            let from_window = Key::new(window.clone());
+            assert_eq!(
+                points_into(from_window.as_bytes(), &window),
+                len > INLINE_CAP
+            );
+        }
+        for (a, a_bytes) in &all {
+            for (b, b_bytes) in &all {
+                assert_eq!(a.cmp(b), a_bytes.cmp(b_bytes));
+                assert_eq!(a == b, a_bytes == b_bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn values_agree_with_their_bytes_across_the_inline_boundary() {
+        for len in 0..64 {
+            let (bytes, window) = payload(len);
+            let built = [
+                Value::from(&bytes[..]),
+                Value::from(bytes.clone()),
+                Value::new(window.clone()),
+                Value::from(window.clone()),
+            ];
+            for value in &built {
+                assert_eq!(value.as_bytes(), &bytes[..], "len {len}");
+                assert_eq!(value.len(), len);
+                assert_eq!(value, &built[0]);
+                assert_eq!(value.heap_bytes() == 0, len <= INLINE_CAP);
+            }
+            assert_ne!(built[0], Value::from(&[&bytes[..], &[0]].concat()[..]));
+            assert_eq!(points_into(built[2].as_bytes(), &window), len > INLINE_CAP);
+        }
+        assert_eq!(Value::from_i64(-7).heap_bytes(), 0);
+        assert_eq!(Value::default(), Value::from(&[][..]));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use aloha_control::{
     AccessKind, AdaptivePacer, AdmissionGate, ControlConfig, PacerGauges, PacerSample, Permit,
 };
 use aloha_epoch::{EpochClient, EpochConfig, EpochManager, EpochTransport, Grant, RevokedAck};
-use aloha_functor::{Functor, Handler, HandlerId, HandlerRegistry};
+use aloha_functor::{Handler, HandlerId, HandlerRegistry};
 use aloha_net::{
     Addr, BatchConfig, Batcher, Bus, Endpoint, ExecConfig, Executor, NetConfig, Transport,
 };
@@ -1303,16 +1303,11 @@ impl Cluster {
     /// below every transaction timestamp). Used by workload loaders before
     /// opening the database for transactions.
     pub fn load(&self, key: Key, value: Value) {
-        self.load_functor(key, Functor::Value(value));
-    }
-
-    /// Loads an initial functor directly into the owning partition.
-    pub fn load_functor(&self, key: Key, functor: Functor) {
         let owner = key.partition(self.total);
         self.servers
             .get(owner.index())
             .partition()
-            .load(&key, functor);
+            .load(&key, value);
     }
 
     /// One composable snapshot of the whole cluster: summed transaction
@@ -2147,6 +2142,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::program::{fn_program, TxnPlan};
+    use aloha_functor::Functor;
 
     const INCR: ProgramId = ProgramId(1);
 

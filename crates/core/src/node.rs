@@ -31,7 +31,7 @@ use aloha_common::clock::UnixClock;
 use aloha_common::stats::StatsSnapshot;
 use aloha_common::{Error, Key, ReadMode, Result, ServerId, Timestamp, Value};
 use aloha_epoch::{EpochClient, EpochConfig, EpochManager};
-use aloha_functor::{Functor, Handler, HandlerId, HandlerRegistry};
+use aloha_functor::{Handler, HandlerId, HandlerRegistry};
 use aloha_net::{Addr, Executor, Transport};
 use aloha_storage::{DurableLog, DurableLogConfig, Partition, RecoveredLog};
 
@@ -375,15 +375,10 @@ impl Node {
     /// returns whether it did. Workload loaders call this with every row on
     /// every node — each row lands exactly once, on its owner.
     pub fn load(&self, key: Key, value: Value) -> bool {
-        self.load_functor(key, Functor::Value(value))
-    }
-
-    /// Loads an initial functor into this node's partition if it owns the key.
-    pub fn load_functor(&self, key: Key, functor: Functor) -> bool {
         if !self.owns(&key) {
             return false;
         }
-        self.server.partition().load(&key, functor);
+        self.server.partition().load(&key, value);
         true
     }
 
@@ -522,6 +517,7 @@ mod tests {
     use super::*;
     use crate::program::fn_program;
     use crate::TxnPlan;
+    use aloha_functor::Functor;
     use aloha_net::{Bus, NetConfig};
 
     /// Two nodes over one shared in-process bus: the node runtime is

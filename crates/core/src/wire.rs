@@ -1234,6 +1234,41 @@ mod tests {
     }
 
     #[test]
+    fn short_decoded_keys_and_values_do_not_pin_the_frame() {
+        let (pending, replier) = loopback();
+        let msg = ServerMsg::PushValue {
+            version: Timestamp::from_raw(8),
+            source: Key::from("short-key"),
+            read: VersionedRead::found(Timestamp::from_raw(6), Value::from_i64(42)),
+        };
+        let mut bytes = Vec::new();
+        ServerMsgCodec.encode(&msg, &pending, &mut bytes).unwrap();
+        let frame = Bytes::from(bytes);
+        let ServerMsg::PushValue { source, read, .. } =
+            ServerMsgCodec.decode(&frame, &replier).unwrap()
+        else {
+            panic!("wrong variant");
+        };
+        let base = frame.as_ref().as_ptr() as usize;
+        let end = base + frame.len();
+        let inside = |bytes: &[u8]| {
+            let ptr = bytes.as_ptr() as usize;
+            ptr >= base && ptr < end
+        };
+        assert_eq!(source, Key::from("short-key"));
+        assert!(
+            !inside(source.as_bytes()),
+            "short key must not point into the frame"
+        );
+        let value = read.value.expect("found");
+        assert_eq!(value.as_i64(), Some(42));
+        assert!(
+            !inside(value.as_bytes()),
+            "short value must not point into the frame"
+        );
+    }
+
+    #[test]
     fn duplicate_reply_is_ignored() {
         let (pending, replier) = loopback();
         let (slot, handle) = reply_pair();

@@ -153,17 +153,21 @@ impl Functor {
         }
     }
 
-    /// Rough payload bytes held by this functor (memory accounting; ignores
-    /// enum discriminant and inline numeric deltas, counts heap payloads).
-    pub fn approx_bytes(&self) -> usize {
+    /// Heap bytes held by this functor beyond its own struct (memory
+    /// accounting): numeric deltas and inline values and keys count 0; a
+    /// user functor counts its argument blob, its key vectors and their
+    /// keys' heap payloads.
+    pub fn heap_bytes(&self) -> usize {
         match self {
-            Functor::Value(v) => v.len(),
+            Functor::Value(v) => v.heap_bytes(),
             Functor::User(u) => {
                 u.args.len()
-                    + u.read_set.iter().map(|k| k.as_bytes().len()).sum::<usize>()
-                    + u.recipient_set
+                    + (u.read_set.capacity() + u.recipient_set.capacity())
+                        * std::mem::size_of::<Key>()
+                    + u.read_set
                         .iter()
-                        .map(|k| k.as_bytes().len())
+                        .chain(&u.recipient_set)
+                        .map(Key::heap_bytes)
                         .sum::<usize>()
             }
             _ => 0,

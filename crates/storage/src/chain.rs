@@ -1,15 +1,22 @@
 //! Per-key ordered version chains with value watermarks (Fig 4), split into
 //! a packed settled section and a live tail.
 //!
-//! Records start life in the *live* tail as `Arc<Record>` cells that the
-//! computing phase finalizes in place. Once a record sinks below its key's
-//! value watermark it is immutable; compaction promotes it into the *packed*
-//! settled section — a plain `Vec<(version, final form)>` with no per-record
-//! `Arc` or lock — and folds the dead prefix below the retention horizon
-//! away entirely, keeping the newest committed records as the materialized
-//! base. Reads consult both sections and take the floor across them, so the
-//! split is invisible to Algorithm 1.
+//! Installed records start life in the *live* tail as `Arc<Record>` cells
+//! that the computing phase finalizes in place. Once a record sinks below
+//! its key's value watermark it is immutable; compaction promotes it into
+//! the *packed* settled section — sorted `(version, final form)` pairs with
+//! no per-record `Arc` or lock — and folds the dead prefix below the
+//! retention horizon away entirely, keeping the newest committed records as
+//! the materialized base. Preloaded rows skip the live tail: they are final
+//! from the start, so [`VersionChain::load`] packs them directly.
+//!
+//! Almost every chain holds exactly one settled record, so the packed
+//! section keeps its first record inline in the chain; only a longer
+//! settled history allocates a vector. Reads see the section as one sorted
+//! slice, consult both sections and take the floor across them, so neither
+//! split is visible to Algorithm 1.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,6 +78,83 @@ impl FinalForm {
 struct PackedRecord {
     version: Timestamp,
     form: FinalForm,
+}
+
+/// The packed settled section, versions strictly ascending. The first
+/// record lives inline; only a second one moves the section into a vector,
+/// and shrinking back to one record moves it inline again.
+#[derive(Debug, Default)]
+enum Packed {
+    #[default]
+    Empty,
+    One(PackedRecord),
+    Many(Vec<PackedRecord>),
+}
+
+impl Packed {
+    /// Inserts `rec` at `pos` (the caller keeps versions sorted).
+    fn insert(&mut self, pos: usize, rec: PackedRecord) {
+        *self = match std::mem::take(self) {
+            Packed::Empty => Packed::One(rec),
+            Packed::One(first) => {
+                let mut many = vec![first];
+                many.insert(pos, rec);
+                Packed::Many(many)
+            }
+            Packed::Many(mut many) => {
+                many.insert(pos, rec);
+                Packed::Many(many)
+            }
+        };
+    }
+
+    /// Keeps only the records `keep` accepts, preserving order.
+    fn retain(&mut self, mut keep: impl FnMut(&PackedRecord) -> bool) {
+        match self {
+            Packed::Empty => {}
+            Packed::One(rec) => {
+                if !keep(rec) {
+                    *self = Packed::Empty;
+                }
+            }
+            Packed::Many(many) => {
+                many.retain(keep);
+                if many.len() <= 1 {
+                    *self = many.pop().map_or(Packed::Empty, Packed::One);
+                }
+            }
+        }
+    }
+
+    /// Heap bytes held beyond the inline record.
+    fn spill_bytes(&self) -> usize {
+        match self {
+            Packed::Many(many) => many.capacity() * std::mem::size_of::<PackedRecord>(),
+            _ => 0,
+        }
+    }
+}
+
+impl Deref for Packed {
+    type Target = [PackedRecord];
+
+    fn deref(&self) -> &[PackedRecord] {
+        match self {
+            Packed::Empty => &[],
+            Packed::One(rec) => std::slice::from_ref(rec),
+            Packed::Many(many) => many,
+        }
+    }
+}
+
+impl DerefMut for Packed {
+    fn deref_mut(&mut self) -> &mut [PackedRecord] {
+        match self {
+            Packed::Empty => &mut [],
+            Packed::One(rec) => std::slice::from_mut(rec),
+            Packed::Many(many) => many,
+        }
+    }
 }
 
 /// One live version record: a version number plus a functor cell that is
@@ -203,14 +287,17 @@ pub struct ChainMem {
     pub settled: usize,
     /// Records folded away by compaction over this chain's lifetime.
     pub compacted: u64,
-    /// Rough payload bytes held (values, user f-arguments and read sets).
+    /// Bytes this chain holds: its own `Arc` allocation (with the inline
+    /// settled record), any spilled settled vector and live tail, every
+    /// live `Record` with its functor's heap payload, and the heap bytes of
+    /// settled values (inline values count 0).
     pub bytes: usize,
 }
 
 #[derive(Debug, Default)]
 struct ChainInner {
     /// Packed settled records, versions strictly ascending.
-    settled: Vec<PackedRecord>,
+    settled: Packed,
     /// Live records, versions strictly ascending (disjoint from `settled`).
     live: Vec<Arc<Record>>,
     /// Highest version folded away by compaction (`ZERO` if none). Versions
@@ -343,6 +430,41 @@ impl VersionChain {
                 true
             }
         }
+    }
+
+    /// Stores a preloaded row: `value` at `version`, packed straight into
+    /// the settled section, with the watermark raised to `version`.
+    ///
+    /// Returns `false` (and changes nothing) if the version already exists
+    /// in either section or was folded away, so loading is idempotent and
+    /// the first write wins, exactly as with [`VersionChain::insert`].
+    pub fn load(&self, version: Timestamp, value: Value) -> bool {
+        let mut inner = self.inner.write();
+        if version <= inner.compacted_floor || inner.live_at(version).is_some() {
+            return false;
+        }
+        let Err(pos) = inner.settled.binary_search_by_key(&version, |p| p.version) else {
+            return false;
+        };
+        inner.settled.insert(
+            pos,
+            PackedRecord {
+                version,
+                form: FinalForm::Value(value),
+            },
+        );
+        // Packed records must sit at or below the watermark. Raise it only
+        // over a final live prefix, and under the write lock, so no pending
+        // record can end up covered.
+        if inner
+            .live
+            .iter()
+            .take_while(|r| r.version <= version)
+            .all(|r| r.is_final())
+        {
+            self.advance_watermark(version);
+        }
+        true
     }
 
     /// The record with exactly this version, if present in either section.
@@ -569,19 +691,22 @@ impl VersionChain {
         self.inner.read().compacted_floor
     }
 
-    /// Per-chain memory accounting.
+    /// Per-chain memory accounting: what this chain holds on the heap,
+    /// counting the `Arc` the store keeps it in (see [`ChainMem::bytes`]).
     pub fn mem(&self) -> ChainMem {
+        const ARC_COUNTS: usize = 2 * std::mem::size_of::<usize>();
         let inner = self.inner.read();
-        let mut bytes = 0;
-        for p in &inner.settled {
-            bytes += std::mem::size_of::<PackedRecord>();
+        let mut bytes = ARC_COUNTS
+            + std::mem::size_of::<VersionChain>()
+            + inner.settled.spill_bytes()
+            + inner.live.capacity() * std::mem::size_of::<Arc<Record>>();
+        for p in inner.settled.iter() {
             if let FinalForm::Value(v) = &p.form {
-                bytes += v.len();
+                bytes += v.heap_bytes();
             }
         }
         for r in &inner.live {
-            // Arc + lock overhead plus the functor payload.
-            bytes += std::mem::size_of::<Record>() + 16 + r.cell.read().approx_bytes();
+            bytes += ARC_COUNTS + std::mem::size_of::<Record>() + r.cell.read().heap_bytes();
         }
         ChainMem {
             live: inner.live.len(),
@@ -716,7 +841,7 @@ impl VersionChain {
         let scut = inner.settled.partition_point(|p| p.version < base);
         let lcut = inner.live.partition_point(|r| r.version < base);
         let dropped = scut + lcut;
-        inner.settled.drain(..scut);
+        inner.settled.retain(|p| p.version >= base);
         inner.live.drain(..lcut);
         dropped
     }
@@ -1089,6 +1214,72 @@ mod tests {
             chain.snapshot_read(retry),
             SnapshotRead::Found(..)
         ));
+    }
+
+    #[test]
+    fn load_packs_the_row_and_raises_the_watermark() {
+        let chain = VersionChain::new();
+        assert!(chain.load(ts(1), Value::from_i64(7)));
+        let m = chain.mem();
+        assert_eq!((m.settled, m.live), (1, 0));
+        assert_eq!(chain.watermark(), ts(1));
+        assert!(matches!(chain.inner.read().settled, Packed::One(_)));
+        match chain.read_at(ts(1)).unwrap() {
+            ChainRead::Final(_, form) => assert_eq!(form.value().unwrap().as_i64(), Some(7)),
+            ChainRead::Live(_) => panic!("a loaded row must be packed"),
+        }
+        // First write wins: a second load of the key changes nothing.
+        assert!(!chain.load(ts(1), Value::from_i64(8)));
+        assert_eq!(functor_at(&chain, ts(1)).unwrap(), Functor::value_i64(7));
+    }
+
+    #[test]
+    fn install_at_or_below_a_packed_version_is_a_noop() {
+        let chain = VersionChain::new();
+        chain.load(ts(1), Value::from_i64(7));
+        assert!(!chain.insert(ts(1), Functor::add(1)));
+        assert!(!chain.insert(Timestamp::ZERO, Functor::value_i64(9)));
+        // Records promoted by compaction reject a retried install alike.
+        chain.insert(ts(10), Functor::value_i64(10));
+        chain.advance_watermark(ts(10));
+        chain.compact(Timestamp::ZERO, usize::MAX);
+        assert!(!chain.insert(ts(10), Functor::add(1)));
+        let m = chain.mem();
+        assert_eq!((m.settled, m.live), (2, 0));
+        assert_eq!(chain.versions(), vec![ts(1), ts(10)]);
+        assert_eq!(functor_at(&chain, ts(1)).unwrap(), Functor::value_i64(7));
+        assert_eq!(functor_at(&chain, ts(10)).unwrap(), Functor::value_i64(10));
+    }
+
+    #[test]
+    fn inline_base_grows_and_folds_back_with_identical_reads() {
+        let chain = VersionChain::new();
+        chain.load(ts(1), Value::from_i64(1));
+        for v in [10u64, 20, 30] {
+            chain.insert(ts(v), Functor::value_i64(v as i64));
+        }
+        let reads = |c: &VersionChain| -> Vec<SnapshotRead> {
+            (0..=31u64).map(|b| c.snapshot_read(ts(b))).collect()
+        };
+        let live = reads(&chain);
+        chain.advance_watermark(ts(30));
+        // Promotion grows the inline base into a spilled section.
+        assert_eq!(chain.compact(Timestamp::ZERO, usize::MAX), 0);
+        assert!(matches!(chain.inner.read().settled, Packed::Many(_)));
+        assert_eq!(chain.mem().settled, 4);
+        assert_eq!(reads(&chain), live);
+        // Folding to one committed record moves it back inline.
+        assert_eq!(chain.compact(ts(30), 1), 3);
+        assert!(matches!(chain.inner.read().settled, Packed::One(_)));
+        assert_eq!(chain.mem().settled, 1);
+        for (bound, before) in live.iter().enumerate() {
+            let after = chain.snapshot_read(ts(bound as u64));
+            if bound >= 30 {
+                assert_eq!(&after, before, "read at {bound} changed");
+            } else {
+                assert_eq!(after, SnapshotRead::Folded(ts(30)), "read at {bound}");
+            }
+        }
     }
 
     #[test]

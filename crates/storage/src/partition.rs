@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use aloha_common::metrics::Counter;
 use aloha_common::stats::StatsSnapshot;
-use aloha_common::{Error, Key, PartitionId, Result, Timestamp};
+use aloha_common::{Error, Key, PartitionId, Result, Timestamp, Value};
 use aloha_functor::{
     builtin, ComputeInput, Functor, HandlerOutput, HandlerRegistry, Reads, VersionedRead,
 };
@@ -446,11 +446,15 @@ impl Partition {
         Ok(())
     }
 
-    /// Installs a row during initial database load, bypassing ownership
-    /// routing checks in single-partition test setups but still storing only
-    /// owned keys.
-    pub fn load(&self, key: &Key, functor: Functor) {
-        self.store.put(key, Timestamp::ZERO.succ(), functor);
+    /// Stores a row during initial database load, at version 1 (below
+    /// every transaction timestamp). A loaded row is final, so it goes
+    /// straight into its chain's packed section with the watermark raised
+    /// over it: one allocation per row, the chain itself. Idempotent: the
+    /// first load of a key wins.
+    pub fn load(&self, key: &Key, value: Value) {
+        self.store
+            .chain_or_create(key)
+            .load(Timestamp::ZERO.succ(), value);
     }
 
     /// Rewrites (key, version) to `ABORTED`: the coordinator's second-round
@@ -679,7 +683,6 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aloha_common::Value;
     use aloha_functor::{HandlerId, Outcome, UserFunctor};
     use bytes_shim::Bytes;
 

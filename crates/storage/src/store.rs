@@ -134,19 +134,38 @@ impl VersionedStore {
         folded
     }
 
-    /// Memory accounting aggregated over every chain.
+    /// Memory accounting aggregated over every chain: each chain's own
+    /// bytes ([`super::ChainMem::bytes`]), its key's heap payload, and its
+    /// share of the shard table's slots.
     pub fn memory_stats(&self) -> StoreMemStats {
         let mut out = StoreMemStats::default();
-        self.for_each_chain(|_, chain| {
-            let m = chain.mem();
-            out.chains += 1;
-            out.live_records += m.live;
-            out.settled_records += m.settled;
-            out.compacted_records += m.compacted;
-            out.approx_bytes += m.bytes;
-        });
+        for shard in &self.shards {
+            let shard = shard.read();
+            out.approx_bytes += table_bytes(shard.capacity());
+            for (key, chain) in shard.iter() {
+                let m = chain.mem();
+                out.chains += 1;
+                out.live_records += m.live;
+                out.settled_records += m.settled;
+                out.compacted_records += m.compacted;
+                out.approx_bytes += m.bytes + key.heap_bytes();
+            }
+        }
         out
     }
+}
+
+/// Bytes a shard table with room for `capacity` entries allocates: the
+/// std map's open-addressing layout keeps a load factor of at most 7/8 over
+/// a power-of-two bucket count, with one slot and one control byte per
+/// bucket plus one trailing control group.
+fn table_bytes(capacity: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = (capacity * 8 / 7).next_power_of_two();
+    let slot = std::mem::size_of::<(Key, Arc<super::VersionChain>)>();
+    buckets * (slot + 1) + 16
 }
 
 /// Store-wide memory accounting: the partition `memory` stats subtree reads
@@ -161,7 +180,8 @@ pub struct StoreMemStats {
     pub settled_records: usize,
     /// Records folded away by compaction since startup.
     pub compacted_records: u64,
-    /// Rough payload bytes held across all chains.
+    /// Heap bytes the store holds: chains and their records, heap key and
+    /// value payloads (inline ones count 0) and the shard tables.
     pub approx_bytes: usize,
 }
 

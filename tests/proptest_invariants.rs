@@ -17,6 +17,19 @@ fn ts(v: u64) -> Timestamp {
     Timestamp::from_raw(v)
 }
 
+/// Gives `key` its initial numeric value at version 1: through
+/// `Partition::load` (packed, watermark raised) or as an ordinary install.
+fn init_numeric(partition: &Partition, key: &Key, initial: i64, loaded: bool) {
+    if loaded {
+        partition.load(key, Value::from_i64(initial));
+        assert_eq!(partition.watermark(key), ts(1));
+    } else {
+        partition
+            .install(key, ts(1), Functor::value_i64(initial))
+            .unwrap();
+    }
+}
+
 proptest! {
     /// The version chain behaves exactly like a sorted map under arbitrary
     /// interleavings of inserts and floor lookups.
@@ -197,17 +210,19 @@ proptest! {
 
     /// Partition-level compaction invariance: settle a numeric chain, then
     /// compact with an aggressive keep_versions=1 and assert the latest
-    /// read still equals the sequential fold.
+    /// read still equals the sequential fold. The initial value is either
+    /// installed or loaded (packed from the start).
     #[test]
     fn partition_reads_survive_aggressive_compaction(
         initial in -1_000i64..1_000,
         deltas in proptest::collection::vec(-50i64..50, 1..30),
+        loaded in any::<bool>(),
     ) {
         let partition = Partition::new(
             PartitionId(0), 1, Arc::new(HandlerRegistry::new()),
         );
         let key = Key::from("k");
-        partition.install(&key, ts(1), Functor::value_i64(initial)).unwrap();
+        init_numeric(&partition, &key, initial, loaded);
         for (i, d) in deltas.iter().enumerate() {
             partition.install(&key, ts(10 + i as u64), Functor::Add(*d)).unwrap();
         }
@@ -225,17 +240,19 @@ proptest! {
     }
 
     /// Numeric functor chains resolve to the same value as a sequential
-    /// left-fold over the committed operations in version order.
+    /// left-fold over the committed operations in version order, whether
+    /// the initial value was installed or loaded.
     #[test]
     fn numeric_chain_equals_sequential_fold(
         initial in -1_000i64..1_000,
         ops in proptest::collection::vec((0u8..4, -50i64..50, any::<bool>()), 0..40),
+        loaded in any::<bool>(),
     ) {
         let partition = Partition::new(
             PartitionId(0), 1, Arc::new(HandlerRegistry::new()),
         );
         let key = Key::from("k");
-        partition.install(&key, ts(1), Functor::value_i64(initial)).unwrap();
+        init_numeric(&partition, &key, initial, loaded);
         let mut expected = initial;
         for (i, (kind, arg, aborted)) in ops.iter().enumerate() {
             let version = ts(10 + i as u64);
