@@ -3,13 +3,12 @@
 //! * **straggler window** (§III-C): with the no-authorization window off,
 //!   every epoch switch stalls all transaction starts for the switch
 //!   duration — visible once the network makes switches slow;
-//! * **durability** (§III-A logging): the WAL's cost on the install path;
-//! * **replication** (§III-A): synchronous backup acks double the install
-//!   round trips.
+//! * **durability** (§III-A logging): the WAL's cost on the install path.
 //!
 //! The paper's evaluation runs with fault tolerance disabled (our baseline
 //! row) and the straggler optimization on; this harness quantifies what each
-//! switch costs on this substrate.
+//! switch costs on this substrate. Replication's cost is measured by
+//! `ablation_replication`.
 
 use std::time::Duration;
 
@@ -30,8 +29,8 @@ fn run(
     let cfg = YcsbConfig::with_contention_index(servers, 0.01).with_keys_per_partition(20_000);
     let base = ClusterConfig::new(servers)
         .with_epoch_duration(ALOHA_EPOCH)
-        // A visible network cost per message makes epoch switches and
-        // replication acks meaningful.
+        // A visible network cost per message makes epoch switches
+        // meaningful.
         .with_net(NetConfig::with_latency(Duration::from_micros(150)));
     let mut builder = Cluster::builder(tune(base));
     ycsb::install_aloha(&mut builder);
@@ -61,12 +60,6 @@ fn main() {
     });
     run("durable-wal", servers, &opts, &mut report, |c| {
         c.with_memory_wal()
-    });
-    run("replicated", servers, &opts, &mut report, |c| {
-        c.with_ring_replication()
-    });
-    run("durable+replicated", servers, &opts, &mut report, |c| {
-        c.with_memory_wal().with_ring_replication()
     });
     report.emit(&opts).expect("write ablation_ecc report");
 }

@@ -3,7 +3,7 @@
 //! One binary per evaluation figure (`fig6` … `fig11`), each printing the
 //! same rows/series the paper reports, plus two ablations (`ablation_push`
 //! for the §IV-B recipient-set push, `ablation_ecc` for the straggler
-//! window / WAL / replication) and Criterion microbenchmarks for the
+//! window and the WAL) and Criterion microbenchmarks for the
 //! substrates. Binaries accept:
 //!
 //! * `--full` — paper-scale sweeps (more points, longer durations, more

@@ -27,7 +27,7 @@
 //! child → parent   DONE <committed> <aborted>
 //! parent → child   dump-history <path>
 //! child → parent   DUMPED <records>
-//! parent → child   read-finals <path>          one node; settles first
+//! parent → child   read-finals <path> <ts>     one node; reads at or above ts
 //! child → parent   READ <keys>
 //! parent → child   exit
 //! child            (shuts its node down, exits 0)
@@ -388,9 +388,12 @@ pub fn launch(opts: &LaunchOpts) -> std::io::Result<LaunchReport> {
     }
     records.sort_by_key(|r| r.ts);
 
-    // Final state, read through the live deployment by node 0.
+    // Final state, read through the live deployment by node 0. Node 0's
+    // session knows only its own commits, so the newest merged commit
+    // timestamp rides along as a causality token covering every driver's.
     let finals_path = opts.scratch.join("finals.bin");
-    children[0].send(&format!("read-finals {}", finals_path.display()))?;
+    let newest = records.last().map_or(0, |r| r.ts.raw());
+    children[0].send(&format!("read-finals {} {newest}", finals_path.display()))?;
     children[0].expect("READ")?;
     let actual = read_finals(&finals_path)?;
 
@@ -592,6 +595,11 @@ fn run_child(args: &[String]) -> std::result::Result<(), String> {
             }
             Some("read-finals") => {
                 let path = PathBuf::from(parts.next().ok_or("read-finals needs a path")?);
+                let newest: u64 = parts
+                    .next()
+                    .and_then(|p| p.parse().ok())
+                    .ok_or("read-finals needs a timestamp")?;
+                node.note_observed(Timestamp::from_raw(newest));
                 let keys = ycsb::all_keys(&cfg);
                 let values = node
                     .read_latest(&keys)

@@ -66,11 +66,6 @@ pub struct ClusterConfig {
     /// checkpoint timestamp (pass `at.micros() + 1`), exactly as a real
     /// deployment resumes clocks past the recovery point.
     pub clock_offset_micros: u64,
-    /// Optional background garbage collection: settled versions older than
-    /// `keep` behind the visibility bound are truncated every `interval`.
-    /// `None` (the default) keeps all history, as the paper's multi-version
-    /// store does during experiments.
-    pub gc: Option<GcConfig>,
     /// Optional watermark-driven chain compaction: settled records are
     /// periodically packed out of their `Arc`+lock cells and the dead
     /// committed prefix of every chain is folded into its materialized base
@@ -87,10 +82,6 @@ pub struct ClusterConfig {
     /// epoch group commit and checkpoint truncation. `None` (the default)
     /// keeps the WAL in memory (or off, per [`ClusterConfig::durable`]).
     pub durable_log: Option<DurableLogSpec>,
-    /// Mirror every install to the next server in the ring before
-    /// acknowledging it (§III-A replication, tolerating a single crash).
-    /// Off by default, as in the paper's experiments.
-    pub replicated: bool,
     /// Partial replication: keep log-shipped standbys for up to `budget`
     /// hot partitions and promote one at an epoch boundary when its primary
     /// is killed (see [`ClusterConfig::with_partial_replication`]). `None`
@@ -153,16 +144,6 @@ impl std::fmt::Debug for TransportSpec {
     }
 }
 
-/// Background garbage-collection knobs (see [`ClusterConfig::with_gc`]).
-#[derive(Debug, Clone, Copy)]
-pub struct GcConfig {
-    /// How often the sweeper runs.
-    pub interval: Duration,
-    /// How much settled history (in microseconds of timestamp space) to
-    /// retain behind the visibility bound for historical readers.
-    pub keep_micros: u64,
-}
-
 /// Watermark-driven chain-compaction knobs (see
 /// [`ClusterConfig::with_compaction`]).
 ///
@@ -171,7 +152,7 @@ pub struct GcConfig {
 /// materialized base. Aborted records below the watermark are packed but
 /// never folded, so late outcome probes can still distinguish an aborted
 /// version from folded committed history. Historical reads below the
-/// retained window are best-effort, exactly as with [`GcConfig`].
+/// retained window are best-effort.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionConfig {
     /// How often the sweeper runs.
@@ -274,11 +255,9 @@ impl ClusterConfig {
             allow_noauth: true,
             clock_skew_micros: Vec::new(),
             clock_offset_micros: 0,
-            gc: None,
             compaction: None,
             durable: false,
             durable_log: None,
-            replicated: false,
             partial_replication: None,
             rpc_timeout: Duration::from_secs(30),
             record_history: false,
@@ -326,15 +305,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables the background history sweeper.
-    pub fn with_gc(mut self, interval: Duration, keep_micros: u64) -> ClusterConfig {
-        self.gc = Some(GcConfig {
-            interval,
-            keep_micros,
-        });
-        self
-    }
-
     /// Enables the background watermark-driven compaction sweeper, keeping
     /// the newest `keep_versions` committed versions per chain.
     pub fn with_compaction(mut self, interval: Duration, keep_versions: usize) -> ClusterConfig {
@@ -348,17 +318,6 @@ impl ClusterConfig {
     /// Overrides how latest-version reads are served (see [`ReadMode`]).
     pub fn with_read_mode(mut self, mode: ReadMode) -> ClusterConfig {
         self.read_mode = mode;
-        self
-    }
-
-    /// Enables in-memory write-ahead logging of the write-only phase.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use the spec-style `with_memory_wal()` (or `with_durable_log(spec)` for the \
-                crash-durable flavor) instead of the boolean toggle"
-    )]
-    pub fn with_durability(mut self, durable: bool) -> ClusterConfig {
-        self.durable = durable;
         self
     }
 
@@ -378,13 +337,6 @@ impl ClusterConfig {
     /// partitions from checkpoint + WAL suffix.
     pub fn with_durable_log(mut self, spec: DurableLogSpec) -> ClusterConfig {
         self.durable_log = Some(spec);
-        self
-    }
-
-    /// Mirrors every install to the next server in the ring before
-    /// acknowledging it (§III-A replication, tolerating a single crash).
-    pub fn with_ring_replication(mut self) -> ClusterConfig {
-        self.replicated = true;
         self
     }
 
@@ -675,27 +627,6 @@ impl ClusterBuilder {
 
         let aux_stop = Arc::new(AtomicBool::new(false));
         let mut aux_threads = Vec::new();
-        if let Some(gc) = rebuild.config.gc {
-            let sweep_servers = Arc::clone(&servers);
-            let stop = Arc::clone(&aux_stop);
-            aux_threads.push(
-                std::thread::Builder::new()
-                    .name("gc-sweeper".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(gc.interval);
-                            for server in sweep_servers.all() {
-                                let settled = server.epoch().visible_bound();
-                                let bound = Timestamp::floor_of_micros(
-                                    settled.micros().saturating_sub(gc.keep_micros),
-                                );
-                                server.partition().store().truncate_below(bound);
-                            }
-                        }
-                    })
-                    .expect("spawn gc sweeper"),
-            );
-        }
         if let Some(comp) = rebuild.config.compaction {
             let sweep_servers = Arc::clone(&servers);
             let stop = Arc::clone(&aux_stop);
@@ -706,28 +637,7 @@ impl ClusterBuilder {
                         while !stop.load(Ordering::SeqCst) {
                             std::thread::sleep(comp.interval);
                             for server in sweep_servers.all() {
-                                if server.is_shutdown() {
-                                    continue;
-                                }
-                                // The cluster-wide compute frontier caps
-                                // folding: every functor below it is
-                                // computed everywhere, so no read — local
-                                // or remote — still floors beneath what
-                                // the fold keeps. The visible bound would
-                                // be unsound here: a settled-but-uncomputed
-                                // functor reads at its own (lower) version.
-                                // Snapshot reads being served right now pin
-                                // the horizon further: folding at or above
-                                // an in-flight read's bound could destroy
-                                // the floor it is about to walk onto.
-                                let mut horizon = server.epoch().frontier();
-                                if let Some(floor) = server.min_inflight_read() {
-                                    horizon = horizon.min(floor);
-                                }
-                                server
-                                    .partition()
-                                    .store()
-                                    .compact(horizon, comp.keep_versions);
+                                server.compact(comp.keep_versions);
                             }
                         }
                     })
@@ -1098,7 +1008,6 @@ fn build_server(
         exec,
         Arc::clone(&ctx.programs),
         wal,
-        ctx.config.replicated,
         ctx.config.rpc_timeout,
         history.clone(),
     );
@@ -1144,7 +1053,6 @@ fn build_promoted_server(
         exec,
         Arc::clone(&ctx.programs),
         wal,
-        ctx.config.replicated,
         ctx.config.rpc_timeout,
         history.clone(),
     );
@@ -1215,7 +1123,8 @@ pub struct Cluster {
     /// Per-server thread groups (dispatcher + processors), index-aligned
     /// with the slots, so a kill joins exactly its victim's threads.
     server_threads: Mutex<Vec<Vec<std::thread::JoinHandle<()>>>>,
-    /// Cluster-scoped background threads (GC sweeper, checkpointer).
+    /// Cluster-scoped background threads (compaction sweeper, checkpointer,
+    /// replica controller).
     aux_threads: Vec<std::thread::JoinHandle<()>>,
     total: u16,
     aux_stop: Arc<AtomicBool>,
@@ -1681,54 +1590,6 @@ impl Cluster {
         Ok(report)
     }
 
-    /// Rebuilds partition `lost` from its backup's mirrored records: the
-    /// §III-A single-crash recovery path. Installs every mirrored record
-    /// into the target cluster's partition (ABORTED records re-apply the
-    /// rollback).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Config`] if replication was not enabled.
-    pub fn rebuild_from_replica(&self, source: &Cluster, lost: ServerId) -> Result<usize> {
-        let backup = source.servers.get(lost.index()).backup_of(lost);
-        let backup_server = source.servers.get(backup.index());
-        let records = backup_server.replica_dump();
-        if !backup_server.is_replicated() {
-            return Err(Error::Config(
-                "replication was not enabled on the source".into(),
-            ));
-        }
-        let target = self.servers.get(lost.index());
-        let mut applied = 0;
-        let mut highest = Timestamp::ZERO;
-        for (key, version, functor) in records {
-            if functor == aloha_functor::Functor::Aborted {
-                target.partition().abort_version(&key, version);
-            } else {
-                target.partition().store().put(&key, version, functor);
-            }
-            highest = highest.max(version);
-            applied += 1;
-        }
-        // The puts bypassed `install_batch`, so the rebuilt records are
-        // invisible to the target's compute frontier until re-buffered —
-        // without this, frontier snapshot reads would serve the floor
-        // *below* the still-pending rebuilt functors. Then block until the
-        // redistributed frontier covers the rebuilt history on every server:
-        // the next grant releases the re-buffered entries, the processors
-        // settle them, and once each front-end's absorbed frontier passes
-        // `highest` the rebuilt records are visible to snapshot reads
-        // through any node.
-        target.reseed_uncomputed();
-        if applied > 0 {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            for server in self.servers.all() {
-                server.epoch().wait_frontier(highest, Some(deadline));
-            }
-        }
-        Ok(applied)
-    }
-
     /// Snapshot of every server's write-ahead log (empty logs when
     /// durability is off). The in-memory WAL clones sealed chunk handles
     /// under its lock and assembles outside it, so a hot log is never
@@ -1807,16 +1668,6 @@ impl Cluster {
             server.epoch().absorb_frontier(restored_at);
         }
         Ok(())
-    }
-
-    /// Garbage-collects settled history below `bound` on every partition.
-    /// Returns the number of version records dropped.
-    pub fn gc(&self, bound: Timestamp) -> usize {
-        self.servers
-            .all()
-            .iter()
-            .map(|s| s.partition().store().truncate_below(bound))
-            .sum()
     }
 
     /// Stops the epoch manager, the servers and all their threads.

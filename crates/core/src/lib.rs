@@ -54,7 +54,7 @@ pub use aloha_net::BatchConfig;
 pub use aloha_storage::Fsync;
 pub use checker::{diff_states, replay_history, CommitRecord, Divergence, History};
 pub use cluster::{
-    Cluster, ClusterBuilder, ClusterConfig, CompactionConfig, Database, DurableLogSpec, GcConfig,
+    Cluster, ClusterBuilder, ClusterConfig, CompactionConfig, Database, DurableLogSpec,
     RecoveryReport, TransportSpec,
 };
 pub use msg::{InstallOutcome, ServerMsg, VersionState};

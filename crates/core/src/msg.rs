@@ -168,18 +168,6 @@ pub enum ServerMsg {
         /// The pushed versioned read.
         read: VersionedRead,
     },
-    /// Primary → backup: mirror write-only-phase records (§III-A
-    /// replication). Acked so the primary can make installs durable-on-two-
-    /// nodes before acknowledging the coordinator.
-    Replicate {
-        /// The primary partition being mirrored.
-        from: aloha_common::PartitionId,
-        /// Install records: (key, version, functor); aborts are encoded as
-        /// `ABORTED` functors at the version.
-        records: Vec<(Key, Timestamp, Functor)>,
-        /// Replication ack.
-        reply: ReplySlot<()>,
-    },
     /// Primary → standby: partial-replication log shipping. One epoch's WAL
     /// group commit — the exact `(version, encoded frame)` payloads the
     /// durable log just committed — stamped with the cumulative replicated
@@ -263,10 +251,6 @@ impl ServerMsg {
                 ServerMsg::PushValue { source, read, .. } => {
                     source.len() + read.value.as_ref().map_or(0, Value::len)
                 }
-                ServerMsg::Replicate { records, .. } => records
-                    .iter()
-                    .map(|(k, _, f)| k.len() + functor_bytes(f))
-                    .sum(),
                 ServerMsg::ShipBatch { frames, .. } => {
                     frames.iter().map(|(_, f)| f.len() + 8).sum()
                 }

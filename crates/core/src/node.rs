@@ -243,7 +243,6 @@ impl NodeBuilder {
             exec,
             Arc::new(self.programs),
             wal,
-            false,
             config.rpc_timeout,
             history.clone(),
         );
@@ -262,25 +261,7 @@ impl NodeBuilder {
                     .spawn(move || {
                         while !stop.load(Ordering::SeqCst) {
                             std::thread::sleep(comp.interval);
-                            if sweep_server.is_shutdown() {
-                                continue;
-                            }
-                            // The cluster-wide compute frontier (distributed
-                            // through the epoch grants) caps folding: every
-                            // functor below it is computed everywhere, so no
-                            // read — local or remote — still floors beneath
-                            // what the fold keeps. The visible bound would be
-                            // unsound: a settled-but-uncomputed functor reads
-                            // at its own (lower) version. Snapshot reads
-                            // being served right now pin the horizon further.
-                            let mut horizon = sweep_server.epoch().frontier();
-                            if let Some(floor) = sweep_server.min_inflight_read() {
-                                horizon = horizon.min(floor);
-                            }
-                            sweep_server
-                                .partition()
-                                .store()
-                                .compact(horizon, comp.keep_versions);
+                            sweep_server.compact(comp.keep_versions);
                         }
                     })
                     .expect("spawn compaction sweeper"),

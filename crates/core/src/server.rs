@@ -204,10 +204,6 @@ pub struct Server {
     /// durability is enabled: chunked in-memory buffers or crash-durable
     /// file segments with epoch group commit.
     wal: Option<WalSink>,
-    /// §III-A primary-backup replication: mirrored records of the
-    /// *predecessor* server's partition (`None` when replication is off or
-    /// the cluster has one server).
-    replica: Option<ReplicaStore>,
     /// Partial-replication shipping tap: while a standby is attached the
     /// feed buffers a copy of every WAL frame this server logs, and
     /// [`Server::commit_wal`] drains them into one `ShipBatch` per epoch —
@@ -217,23 +213,6 @@ pub struct Server {
     /// Cluster-shared commit history for the serializability checker
     /// (`None` unless history recording is enabled).
     history: Option<Arc<History>>,
-}
-
-/// The mirrored write-only-phase records of one partition, held by its
-/// backup server.
-#[derive(Debug, Default)]
-pub(crate) struct ReplicaStore {
-    records: Mutex<Vec<(Key, Timestamp, Functor)>>,
-}
-
-impl ReplicaStore {
-    fn append(&self, mut records: Vec<(Key, Timestamp, Functor)>) {
-        self.records.lock().append(&mut records);
-    }
-
-    fn dump(&self) -> Vec<(Key, Timestamp, Functor)> {
-        self.records.lock().clone()
-    }
 }
 
 /// Chunked in-memory write-ahead log. Epoch group commit seals the active
@@ -424,7 +403,6 @@ impl Server {
         exec: Executor,
         programs: Arc<ProgramRegistry>,
         wal: Option<WalSink>,
-        replicated: bool,
         rpc_timeout: Duration,
         history: Option<Arc<History>>,
     ) -> (Arc<Server>, Receiver<QueueEntry>) {
@@ -466,7 +444,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             rpc_timeout,
             wal,
-            replica: (replicated && total_servers > 1).then(ReplicaStore::default),
             ship: Arc::new(ShipFeed::new()),
             history,
         });
@@ -564,9 +541,8 @@ impl Server {
     // The simulated fault layer can drop or delay the request leg of any
     // RPC (replies ride on direct one-shot channels and cannot be lost), so
     // every request sent here must be idempotent at the receiver: duplicate
-    // installs are first-write-wins, duplicate aborts re-abort, reads and
-    // resolves have no side effects, and replication appends replay
-    // idempotently during rebuild.
+    // installs are first-write-wins, duplicate aborts re-abort, and reads
+    // and resolves have no side effects.
     // ------------------------------------------------------------------
 
     /// Sends a one-way message through the batching layer when one is
@@ -579,19 +555,10 @@ impl Server {
     }
 
     /// Sends an idempotent request and waits for the reply, retransmitting
-    /// on timeout up to [`RPC_ATTEMPTS`] times. The request bypasses the
-    /// batching layer — used for synchronous exchanges (replication) where
-    /// even the batcher's small deadline is latency on the critical path.
-    fn rpc<R>(&self, to: ServerId, mut make: impl FnMut(ReplySlot<R>) -> ServerMsg) -> Result<R> {
-        let (slot, handle) = reply_pair();
-        self.net.send(Addr::Server(to), make(slot))?;
-        self.wait_retry(handle, to, make)
-    }
-
-    /// Like [`Server::rpc`], but the initial send rides the batching layer.
-    /// Retransmissions still go direct (see [`Server::wait_retry`]): a retry
-    /// means the request is already late, so batching it again only delays
-    /// recovery.
+    /// on timeout up to [`RPC_ATTEMPTS`] times. The initial send rides the
+    /// batching layer; retransmissions go direct (see [`Server::wait_retry`]):
+    /// a retry means the request is already late, so batching it again only
+    /// delays recovery.
     fn rpc_batched<R>(
         &self,
         to: ServerId,
@@ -760,14 +727,21 @@ impl Server {
                 outcomes.push(self.install_batch(version, group));
             } else {
                 let (slot, handle) = reply_pair();
-                self.send_msg(
+                let sent = self.send_msg(
                     *owner,
                     ServerMsg::Install {
                         version,
                         writes: Arc::clone(group),
                         reply: slot,
                     },
-                )?;
+                );
+                // A send that fails outright (a killed participant's
+                // address is gone) fails the install like a lost reply
+                // does: the installs already sent must be rolled back.
+                if let Err(e) = sent {
+                    install_err = Some(e);
+                    break;
+                }
                 replies.push((*owner, handle));
             }
         }
@@ -910,6 +884,29 @@ impl Server {
     /// if any. The compaction sweeper folds no history at or above it.
     pub fn min_inflight_read(&self) -> Option<Timestamp> {
         self.read_floors.lock().keys().next().copied()
+    }
+
+    /// One compaction sweep over this backend's partition, keeping the
+    /// newest `keep_versions` committed versions per chain. Returns the
+    /// number of records folded away; a killed server folds nothing, since
+    /// its partition is about to be discarded.
+    ///
+    /// The horizon is the cluster-wide compute frontier: every functor
+    /// below it is computed everywhere, so no read — local or remote —
+    /// still floors beneath what the fold keeps. The visible bound would be
+    /// unsound here: a settled-but-uncomputed functor reads at its own
+    /// (lower) version. Snapshot reads being served right now pin the
+    /// horizon further: folding at or above an in-flight read's bound could
+    /// destroy the floor it is about to walk onto.
+    pub fn compact(&self, keep_versions: usize) -> usize {
+        if self.is_shutdown() {
+            return 0;
+        }
+        let mut horizon = self.epoch.frontier();
+        if let Some(floor) = self.min_inflight_read() {
+            horizon = horizon.min(floor);
+        }
+        self.partition.store().compact(horizon, keep_versions)
     }
 
     /// Serves one key of a snapshot read from this backend's chains.
@@ -1222,11 +1219,7 @@ impl Server {
             }
         }
         let installed_at = Instant::now();
-        let mut mirrored = Vec::new();
         for w in writes {
-            if self.replica.is_some() {
-                mirrored.push((w.key.clone(), version, w.functor.clone()));
-            }
             if self
                 .partition
                 .install(&w.key, version, w.functor.clone())
@@ -1242,48 +1235,7 @@ impl Server {
                 released_at: installed_at,
             });
         }
-        // §III-A: acknowledge only once the backup holds the records too.
-        if self.replicate(mirrored).is_err() {
-            return InstallOutcome::CheckFailed("replication to backup failed".into());
-        }
         InstallOutcome::Ok
-    }
-
-    /// The server holding this partition's backup (§III-A: one crash
-    /// failure tolerated): the next server in the ring.
-    pub fn backup_of(&self, id: ServerId) -> ServerId {
-        ServerId((id.0 + 1) % self.total_servers)
-    }
-
-    /// Whether replication is enabled on this server.
-    pub fn is_replicated(&self) -> bool {
-        self.replica.is_some()
-    }
-
-    /// Synchronously mirrors write-only-phase records to this partition's
-    /// backup; installs are acknowledged only once both copies exist.
-    fn replicate(&self, records: Vec<(Key, Timestamp, Functor)>) -> Result<()> {
-        if self.replica.is_none() || records.is_empty() {
-            return Ok(());
-        }
-        let backup = self.backup_of(self.id);
-        // Duplicated or retransmitted Replicate batches replay idempotently:
-        // the backup's rebuild path first-write-wins per (key, version).
-        self.rpc(backup, |reply| ServerMsg::Replicate {
-            from: aloha_common::PartitionId(self.id.0),
-            records: records.clone(),
-            reply,
-        })
-    }
-
-    /// Dump of the mirrored records this server holds for its predecessor's
-    /// partition (empty when replication is off). Used to rebuild a lost
-    /// partition.
-    pub fn replica_dump(&self) -> Vec<(Key, Timestamp, Functor)> {
-        self.replica
-            .as_ref()
-            .map(ReplicaStore::dump)
-            .unwrap_or_default()
     }
 
     /// Rolls (key, version) back to ABORTED, logging the rollback when
@@ -1311,9 +1263,6 @@ impl Server {
                 self.ship.push(version.raw(), buf);
             }
         }
-        // Mirror the rollback as an ABORTED record (replays idempotently:
-        // the backup's rebuild path force-aborts the version).
-        let _ = self.replicate(vec![(key.clone(), version, Functor::Aborted)]);
         self.partition.abort_version(key, version);
     }
 
@@ -1562,29 +1511,6 @@ impl Server {
     /// outstanding a server vouches for everything settled so far.
     /// Piggybacked on each revoke ack; the EM min-merges the cluster and
     /// redistributes the result in grants as the compaction horizon.
-    /// Re-buffers every still-uncomputed record in the store as pending
-    /// compute work — the same seeding [`Server::new`] performs after
-    /// recovery. Needed whenever records are reinstated into a *running*
-    /// server behind `install_batch`'s back (a §III-A rebuild from a backup
-    /// dump): without it the compute frontier keeps vouching for versions
-    /// nothing will ever compute, and frontier snapshot reads serve stale
-    /// floors below them. Duplicate entries are harmless — computes are
-    /// idempotent and the processor turn dedups by key.
-    pub(crate) fn reseed_uncomputed(&self) {
-        let seeded_at = Instant::now();
-        let mut pending = self.pending.lock();
-        self.partition.store().for_each_chain(|key, chain| {
-            for record in chain.uncomputed_in(Timestamp::ZERO, Timestamp::MAX) {
-                pending.push(QueueEntry {
-                    key: key.clone(),
-                    version: record.version(),
-                    installed_at: seeded_at,
-                    released_at: seeded_at,
-                });
-            }
-        });
-    }
-
     pub(crate) fn compute_frontier(&self) -> Timestamp {
         let mut frontier = self.epoch.visible_bound();
         if let Some(min) = self.pending.lock().iter().map(|e| e.version).min() {
@@ -1939,10 +1865,6 @@ fn handle_msg(server: &Arc<Server>, msg: ServerMsg) -> std::ops::ControlFlow<()>
         // Per-key work runs on the executor's key-sharded lane: one FIFO
         // queue per worker, routed by `ServerMsg::shard_hash`, so same-key
         // messages never reorder while distinct keys proceed in parallel.
-        // With replication on, install_batch blocks on the backup's ack;
-        // that is safe on a sharded worker because `Replicate` is answered
-        // inline by the (never-blocking) dispatcher below, so a ring of
-        // servers replicating to each other cannot deadlock.
         msg @ (ServerMsg::Install { .. }
         | ServerMsg::AbortVersion { .. }
         | ServerMsg::InstallDeferred { .. }
@@ -2047,16 +1969,6 @@ fn handle_msg(server: &Arc<Server>, msg: ServerMsg) -> std::ops::ControlFlow<()>
                     .record_stage(Stage::FunctorComputing, duration_micros(enqueued.elapsed()));
                 reply.send(s.resolve_local(&key, version));
             });
-        }
-        ServerMsg::Replicate {
-            from: _,
-            records,
-            reply,
-        } => {
-            if let Some(replica) = &server.replica {
-                replica.append(records);
-            }
-            reply.send(());
         }
         ServerMsg::Shutdown => return ControlFlow::Break(()),
     }

@@ -40,6 +40,7 @@ use crate::program::{Check, Write};
 pub struct ServerMsgCodec;
 
 // Variant tags. Stable on the wire: append new variants, never renumber.
+// Tag 10 is retired and must not be reused.
 const TAG_GRANT: u8 = 0;
 const TAG_REVOKE: u8 = 1;
 const TAG_REVOKED_ACK: u8 = 2;
@@ -50,7 +51,6 @@ const TAG_REMOTE_GET_BATCH: u8 = 6;
 const TAG_INSTALL_DEFERRED: u8 = 7;
 const TAG_RESOLVE_VERSION: u8 = 8;
 const TAG_PUSH_VALUE: u8 = 9;
-const TAG_REPLICATE: u8 = 10;
 const TAG_BATCH: u8 = 11;
 const TAG_SHUTDOWN: u8 = 12;
 const TAG_SNAPSHOT_READ: u8 = 13;
@@ -189,19 +189,6 @@ fn encode_msg(msg: &ServerMsg, pending: &PendingReplies, w: &mut Writer) -> Resu
                 .put_u64(version.raw())
                 .put_bytes(source.as_bytes());
             encode_versioned_read(read, w);
-        }
-        ServerMsg::Replicate {
-            from,
-            records,
-            reply,
-        } => {
-            w.put_u8(TAG_REPLICATE).put_u16(from.0);
-            put_len(w, records.len())?;
-            for (key, version, functor) in records {
-                w.put_bytes(key.as_bytes()).put_u64(version.raw());
-                encode_functor(w, functor);
-            }
-            w.put_u64(register_reply(pending, reply, decode_unit));
         }
         ServerMsg::ShipBatch {
             from,
@@ -378,23 +365,6 @@ fn decode_msg(r: &mut Reader<'_>, replier: &RemoteReplier) -> Result<ServerMsg> 
                 version,
                 source,
                 read,
-            }
-        }
-        TAG_REPLICATE => {
-            let from = PartitionId(r.get_u16()?);
-            let count = r.get_u32()?;
-            let mut records = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let key = Key::from(r.get_bytes_shared()?);
-                let version = Timestamp::from_raw(r.get_u64()?);
-                let functor = decode_functor(r)?;
-                records.push((key, version, functor));
-            }
-            let corr = r.get_u64()?;
-            ServerMsg::Replicate {
-                from,
-                records,
-                reply: remote_slot(replier, corr, encode_unit),
             }
         }
         TAG_SHIP_BATCH => {
@@ -1031,7 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn push_value_and_replicate_round_trip() {
+    fn push_value_round_trip() {
         let msg = ServerMsg::PushValue {
             version: Timestamp::from_raw(8),
             source: Key::from("src"),
@@ -1048,30 +1018,6 @@ mod tests {
         assert_eq!(version, Timestamp::from_raw(8));
         assert_eq!(source, Key::from("src"));
         assert_eq!(read.value, Some(Value::from_i64(2)));
-
-        let (slot, handle) = reply_pair();
-        let msg = ServerMsg::Replicate {
-            from: PartitionId(2),
-            records: vec![(
-                Key::from("k"),
-                Timestamp::from_raw(4),
-                Functor::Value(Value::from_i64(9)),
-            )],
-            reply: slot,
-        };
-        let ServerMsg::Replicate {
-            from,
-            records,
-            reply,
-        } = round_trip(&msg)
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!(from, PartitionId(2));
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].0, Key::from("k"));
-        reply.send(());
-        handle.wait().expect("ack");
     }
 
     #[test]

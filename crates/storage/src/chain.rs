@@ -730,8 +730,7 @@ impl VersionChain {
     /// Reads at bounds at or above `horizon` (and at or above the oldest
     /// surviving committed version) are unaffected — their flooring base is
     /// always retained; bounds below that are below the retention horizon
-    /// and may see less history (exactly as with
-    /// [`VersionChain::truncate_below`]).
+    /// and may see less history.
     ///
     /// Returns the number of records folded away.
     pub fn compact(&self, horizon: Timestamp, keep_versions: usize) -> usize {
@@ -824,26 +823,6 @@ impl VersionChain {
         inner.compacted_floor = floor;
         inner.compacted += folded as u64;
         folded
-    }
-
-    /// Garbage-collects history: drops all records with version `< bound`
-    /// except the latest one at or below `bound`, which readers of
-    /// historical snapshots `>= bound` still need. Records above the
-    /// watermark are never collected. Returns the number of dropped records.
-    pub fn truncate_below(&self, bound: Timestamp) -> usize {
-        let effective = bound.min(self.watermark());
-        let mut inner = self.inner.write();
-        // Keep the newest record at or below the cut as the snapshot base.
-        let base = match inner.floor(effective) {
-            Some(read) => read.version(),
-            None => return 0,
-        };
-        let scut = inner.settled.partition_point(|p| p.version < base);
-        let lcut = inner.live.partition_point(|r| r.version < base);
-        let dropped = scut + lcut;
-        inner.settled.retain(|p| p.version >= base);
-        inner.live.drain(..lcut);
-        dropped
     }
 }
 
@@ -964,42 +943,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(chain.watermark(), ts(800));
-    }
-
-    #[test]
-    fn truncate_keeps_snapshot_base_and_unsettled_tail() {
-        let chain = VersionChain::new();
-        for v in [10u64, 20, 30, 40] {
-            chain.insert(ts(v), Functor::value_i64(v as i64));
-        }
-        chain.advance_watermark(ts(30));
-        let dropped = chain.truncate_below(ts(30));
-        assert_eq!(dropped, 2); // 10 and 20 go; 30 stays as base; 40 unsettled
-        assert_eq!(chain.versions(), vec![ts(30), ts(40)]);
-    }
-
-    #[test]
-    fn truncate_never_crosses_watermark() {
-        let chain = VersionChain::new();
-        chain.insert(ts(10), Functor::add(1));
-        chain.insert(ts(20), Functor::add(1));
-        // watermark still ZERO: nothing settled, nothing may be dropped
-        assert_eq!(chain.truncate_below(ts(99)), 0);
-        assert_eq!(chain.len(), 2);
-    }
-
-    #[test]
-    fn truncate_spans_both_sections() {
-        let chain = VersionChain::new();
-        for v in [10u64, 20, 30, 40] {
-            chain.insert(ts(v), Functor::value_i64(v as i64));
-        }
-        chain.advance_watermark(ts(20));
-        // Promote 10 and 20 into the packed section, fold nothing.
-        chain.compact(Timestamp::ZERO, usize::MAX);
-        chain.advance_watermark(ts(40));
-        assert_eq!(chain.truncate_below(ts(40)), 3);
-        assert_eq!(chain.versions(), vec![ts(40)]);
     }
 
     #[test]

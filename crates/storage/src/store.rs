@@ -109,21 +109,13 @@ impl VersionedStore {
     }
 
     /// Runs `f` over every (key, chain) pair; used by consistency checks and
-    /// garbage collection sweeps.
+    /// compaction sweeps.
     pub fn for_each_chain(&self, mut f: impl FnMut(&Key, &Arc<super::VersionChain>)) {
         for shard in &self.shards {
             for (key, chain) in shard.read().iter() {
                 f(key, chain);
             }
         }
-    }
-
-    /// Garbage-collects every chain below `bound` (see
-    /// [`super::VersionChain::truncate_below`]). Returns total records dropped.
-    pub fn truncate_below(&self, bound: Timestamp) -> usize {
-        let mut dropped = 0;
-        self.for_each_chain(|_, chain| dropped += chain.truncate_below(bound));
-        dropped
     }
 
     /// Watermark-driven compaction sweep over every chain (see
@@ -280,16 +272,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.key_count(), 1600);
-    }
-
-    #[test]
-    fn store_truncate_sweeps_all_chains() {
-        let store = VersionedStore::new();
-        let k = Key::from("gc");
-        for v in [1u64, 2, 3] {
-            store.put(&k, ts(v), Functor::value_i64(v as i64));
-        }
-        store.chain(&k).unwrap().advance_watermark(ts(3));
-        assert_eq!(store.truncate_below(ts(3)), 2);
     }
 }
