@@ -17,9 +17,9 @@
 //!   blocking workers per server, with spillover threads only under
 //!   blocking-lane saturation.
 //!
-//! The epoch is short (3 ms) for the same reason as `ablation_batch`: the
-//! closed-loop driver's throughput is `window / latency`, and a long epoch
-//! wait would mask the dispatch cost this ablation isolates.
+//! The epoch is short (3 ms) because the closed-loop driver's throughput is
+//! `window / latency`: a long epoch wait would mask the dispatch cost this
+//! ablation isolates.
 //!
 //! Reported: throughput, mean latency, and the executor's own counters
 //! (spillover spawns, steady/peak thread counts summed across servers),

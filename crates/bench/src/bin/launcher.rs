@@ -13,7 +13,8 @@
 //!
 //! Options: `--servers N`, `--drivers N`, `--txns N` (per driver),
 //! `--epoch-micros U`, `--keys N` (per partition), `--durable`, `--kill`,
-//! `--scratch DIR`.
+//! `--scratch DIR` (a fresh directory per run: one holding a previous
+//! run's `wal-*` is refused).
 
 use std::time::Duration;
 

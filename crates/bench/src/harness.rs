@@ -431,7 +431,7 @@ pub fn aloha_ycsb_run(cfg: &YcsbConfig, epoch: Duration, driver: &DriverConfig) 
 }
 
 /// [`aloha_ycsb_run`] with a hook over the cluster configuration, for
-/// ablations that toggle one knob (compaction, GC, batching) while keeping
+/// ablations that toggle one knob (e.g. compaction) while keeping
 /// the workload and epoch schedule identical.
 pub fn aloha_ycsb_run_tuned(
     cfg: &YcsbConfig,

@@ -191,6 +191,7 @@ pub struct LaunchOpts {
     /// Give every node a crash-durable WAL under the scratch directory.
     pub durable: bool,
     /// Scratch directory for WALs, history dumps and final-state dumps.
+    /// [`launch`] refuses one that already holds a node WAL (`wal-*`).
     pub scratch: PathBuf,
 }
 
@@ -318,11 +319,14 @@ impl ChildProc {
 ///
 /// # Errors
 ///
-/// Process management and protocol violations surface as `Err`; a
-/// serializability divergence is reported in the `Ok` report (callers
-/// decide whether to fail).
+/// Returns [`std::io::ErrorKind::InvalidInput`] before spawning anything
+/// when the scratch directory holds a previous run's WAL. Process
+/// management and protocol violations surface as `Err`; a serializability
+/// divergence is reported in the `Ok` report (callers decide whether to
+/// fail).
 pub fn launch(opts: &LaunchOpts) -> std::io::Result<LaunchReport> {
     std::fs::create_dir_all(&opts.scratch)?;
+    refuse_stale_wal(&opts.scratch)?;
     let origin = UnixClock::unix_now_micros();
     let mut children: Vec<ChildProc> = (0..opts.servers)
         .map(|id| ChildProc::spawn(id, opts, origin, id < opts.drivers))
@@ -430,6 +434,28 @@ pub fn launch(opts: &LaunchOpts) -> std::io::Result<LaunchReport> {
         divergences: divergences.len(),
         killed,
     })
+}
+
+/// Fails when `scratch` holds a `wal-*` entry: every child opens
+/// `wal-<id>` there and would recover that earlier run's partition, so its
+/// final state could never match this run's history.
+fn refuse_stale_wal(scratch: &Path) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(scratch)? {
+        let path = entry?.path();
+        let stale = path
+            .file_name()
+            .is_some_and(|name| name.to_string_lossy().starts_with("wal-"));
+        if stale {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "scratch already holds {}: a launch needs a fresh scratch directory",
+                    path.display()
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Sends every child the full peer address map.
@@ -768,4 +794,20 @@ fn read_finals(path: &Path) -> std::io::Result<HashMap<Key, Option<Value>>> {
         map.insert(key, value);
     }
     Ok(map)
+}
+
+#[cfg(test)]
+mod tests {
+    use aloha_common::tempdir::TempDir;
+
+    use super::*;
+
+    #[test]
+    fn launch_refuses_a_scratch_holding_a_wal() {
+        let dir = TempDir::new("launch-stale-wal");
+        std::fs::create_dir(dir.path().join("wal-0")).unwrap();
+        let err = launch(&LaunchOpts::smoke(dir.path())).expect_err("stale WAL must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("wal-0"), "{err}");
+    }
 }

@@ -369,7 +369,6 @@ fn build_server(
             let source = move || PacerSample {
                 exec_queue: sampled.exec().queued_now(),
                 backlog: sampled.backlog_len(),
-                batch_occupancy: 0,
             };
             let pacer = AdaptivePacer::new(control.pacing.clone(), source, Arc::clone(&gauges))?;
             (Box::new(pacer), Some(gauges))

@@ -6,8 +6,8 @@
 //! transactions, a shorter one bounds the delay until the next epoch's reads
 //! and commit visibility. The [`AdaptivePacer`] closes the loop over signals
 //! the engines already export — epoch-switch duration, executor queue depth,
-//! functor-computing backlog, batch occupancy — folding them into a single
-//! dimensionless *pressure* and steering the duration inside `[min, max]`:
+//! functor-computing backlog — folding them into a single dimensionless
+//! *pressure* and steering the duration inside `[min, max]`:
 //!
 //! * pressure above the high watermark → the pipeline is congested (or the
 //!   switch overhead dominates the epoch), so *multiplicatively lengthen*
@@ -30,16 +30,13 @@ use aloha_epoch::Pacer;
 
 /// Instantaneous backpressure readings fed to the controller.
 ///
-/// All fields are levels (not rates); zero means idle. Sources that do not
-/// apply to an engine (e.g. batch occupancy with batching off) stay zero.
+/// All fields are levels (not rates); zero means idle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacerSample {
     /// Entries queued toward the executor lanes (backend data plane).
     pub exec_queue: u64,
     /// Transactions parked in the functor-computing stage (FE side).
     pub backlog: u64,
-    /// Envelopes currently coalescing in the destination batcher.
-    pub batch_occupancy: u64,
 }
 
 /// Where the pacer reads its signals: any `Fn` closure sampling live engine
@@ -88,8 +85,6 @@ pub struct PacerConfig {
     pub exec_queue_target: u64,
     /// Functor-computing backlog that maps to pressure 1.0.
     pub backlog_target: u64,
-    /// Batcher occupancy that maps to pressure 1.0.
-    pub batch_occupancy_target: u64,
     /// Switch-overhead fraction (switch time / epoch time) that maps to
     /// pressure 1.0; epochs lengthen when switches stop amortizing.
     pub switch_overhead_target: f64,
@@ -120,7 +115,6 @@ impl PacerConfig {
             high_watermark: 1.0,
             exec_queue_target: 256,
             backlog_target: 256,
-            batch_occupancy_target: 1024,
             switch_overhead_target: 0.2,
         }
     }
@@ -224,10 +218,6 @@ impl AdaptivePacer {
         let switch_fraction = self.last_switch.as_secs_f64() / self.current.as_secs_f64();
         (ratio(sample.exec_queue, self.cfg.exec_queue_target))
             .max(ratio(sample.backlog, self.cfg.backlog_target))
-            .max(ratio(
-                sample.batch_occupancy,
-                self.cfg.batch_occupancy_target,
-            ))
             .max(switch_fraction / self.cfg.switch_overhead_target)
     }
 
@@ -361,7 +351,6 @@ mod tests {
         let source = || PacerSample {
             exec_queue: u64::MAX / 2,
             backlog: u64::MAX / 2,
-            batch_occupancy: u64::MAX / 2,
         };
         let mut pacer = AdaptivePacer::new(cfg, source, Arc::new(PacerGauges::default())).unwrap();
         for _ in 0..10 {

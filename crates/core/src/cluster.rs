@@ -16,9 +16,7 @@ use aloha_control::{
 };
 use aloha_epoch::{EpochClient, EpochConfig, EpochManager, EpochTransport, Grant, RevokedAck};
 use aloha_functor::{Handler, HandlerId, HandlerRegistry};
-use aloha_net::{
-    Addr, BatchConfig, Batcher, Bus, Endpoint, ExecConfig, Executor, NetConfig, Transport,
-};
+use aloha_net::{Addr, Bus, Endpoint, ExecConfig, Executor, NetConfig, Transport};
 use aloha_storage::{DurableLog, DurableLogConfig, Fsync, LogDamage, Partition, RecoveredLog};
 use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
@@ -96,10 +94,6 @@ pub struct ClusterConfig {
     /// [`History`] for the serializability checker (test builds only; adds
     /// one mutex append per transaction).
     pub record_history: bool,
-    /// Destination-batched messaging: coalesce bus messages per destination
-    /// with these thresholds, flushing at epoch close. `None` (the default)
-    /// sends every message individually.
-    pub batch: Option<BatchConfig>,
     /// Pool sizes for each server's bounded message executor (sharded lane
     /// for per-key work, blocking lane for cross-partition recursion).
     /// [`aloha_net::ExecConfig::spawn_per_message`] restores the pre-pool
@@ -261,7 +255,6 @@ impl ClusterConfig {
             partial_replication: None,
             rpc_timeout: Duration::from_secs(30),
             record_history: false,
-            batch: None,
             exec: ExecConfig::default(),
             control: None,
             transport: TransportSpec::Simulated,
@@ -345,7 +338,8 @@ impl ClusterConfig {
     /// partitions (ranked by PushCache hit rate and install backlog), and
     /// [`Cluster::kill_server`] promotes a replicated partition's standby
     /// at the next epoch boundary instead of leaving the slot down.
-    /// Partitions without a standby keep the restart-from-WAL path.
+    /// Partitions without a standby keep the restart-from-WAL path, which
+    /// needs [`ClusterConfig::with_durable_log`].
     ///
     /// Shipping reuses the write-ahead log's frames, so a cluster with
     /// partial replication and no WAL configured gets the in-memory WAL
@@ -370,12 +364,6 @@ impl ClusterConfig {
     /// Enables commit-history recording for the serializability checker.
     pub fn with_history(mut self) -> ClusterConfig {
         self.record_history = true;
-        self
-    }
-
-    /// Enables destination-batched messaging with the given thresholds.
-    pub fn with_batching(mut self, batch: BatchConfig) -> ClusterConfig {
-        self.batch = Some(batch);
         self
     }
 
@@ -405,11 +393,10 @@ impl ClusterConfig {
     }
 
     /// Runs the cluster on a caller-supplied [`Transport`] instead of the
-    /// default simulated bus. Every server endpoint, the epoch manager's
-    /// grant/revoke traffic and the optional batcher all ride the given
-    /// transport; [`ClusterConfig::net`] is ignored. The cluster owns the
-    /// transport's lifecycle from here on — [`Cluster::shutdown`] shuts it
-    /// down.
+    /// default simulated bus. Every server endpoint and the epoch manager's
+    /// grant/revoke traffic ride the given transport; [`ClusterConfig::net`]
+    /// is ignored. The cluster owns the transport's lifecycle from here on —
+    /// [`Cluster::shutdown`] shuts it down.
     pub fn with_transport(mut self, transport: Arc<dyn Transport<ServerMsg>>) -> ClusterConfig {
         self.transport = TransportSpec::Custom(transport);
         self
@@ -514,17 +501,6 @@ impl ClusterBuilder {
             TransportSpec::Simulated => Arc::new(Bus::new(self.config.net.clone())),
             TransportSpec::Custom(transport) => transport,
         };
-        // One batcher for the whole cluster: traffic from different servers
-        // toward the same destination coalesces into shared envelopes, and
-        // the metrics land on the single `net` node where they belong.
-        let batcher = self.config.batch.clone().map(|cfg| {
-            Batcher::new(
-                Arc::clone(&net),
-                cfg,
-                ServerMsg::Batch,
-                ServerMsg::approx_bytes,
-            )
-        });
         let em_endpoint = net.register(Addr::EpochManager);
         let history = self.config.record_history.then(|| Arc::new(History::new()));
         // Everything a single-server restart needs to rebuild its victim
@@ -540,8 +516,7 @@ impl ClusterBuilder {
         let mut servers = Vec::with_capacity(n as usize);
         let mut server_threads = Vec::with_capacity(n as usize);
         for i in 0..n {
-            let (server, threads, _report) =
-                build_server(&rebuild, ServerId(i), &net, &batcher, &history)?;
+            let (server, threads, _report) = build_server(&rebuild, ServerId(i), &net, &history)?;
             servers.push(server);
             server_threads.push(threads);
         }
@@ -580,15 +555,13 @@ impl ClusterBuilder {
             Some(control) => {
                 let gauges = Arc::new(PacerGauges::default());
                 // The pacer samples live cluster pressure right before each
-                // authorization: executor lane depths, install/compute
-                // backlogs, and whatever is coalescing in the batcher. In
-                // `Fixed` mode the closure is never called. Sampling reads
-                // the slots, so after a restart the fresh server's executor
-                // is what gets measured — a recovering backend's replay
-                // backlog shows up as pressure the pacer absorbs like any
-                // other spike.
+                // authorization: executor lane depths and install/compute
+                // backlogs. In `Fixed` mode the closure is never called.
+                // Sampling reads the slots, so after a restart the fresh
+                // server's executor is what gets measured — a recovering
+                // backend's replay backlog shows up as pressure the pacer
+                // absorbs like any other spike.
                 let sample_servers = Arc::clone(&servers);
-                let sample_batcher = batcher.clone();
                 let source = move || {
                     let mut exec_queue = 0;
                     let mut backlog = 0;
@@ -599,10 +572,6 @@ impl ClusterBuilder {
                     PacerSample {
                         exec_queue,
                         backlog,
-                        batch_occupancy: sample_batcher
-                            .as_ref()
-                            .map(|b| b.queued_now())
-                            .unwrap_or(0),
                     }
                 };
                 let pacer =
@@ -778,7 +747,6 @@ impl ClusterBuilder {
             servers,
             em: Some(em),
             net,
-            batcher,
             server_threads: Mutex::new(server_threads),
             aux_threads,
             total: n,
@@ -974,7 +942,6 @@ fn build_server(
     ctx: &RebuildCtx,
     id: ServerId,
     net: &Arc<dyn Transport<ServerMsg>>,
-    batcher: &Option<Batcher<ServerMsg>>,
     history: &Option<Arc<History>>,
 ) -> Result<(
     Arc<Server>,
@@ -1004,7 +971,6 @@ fn build_server(
         partition,
         epoch,
         Arc::clone(net),
-        batcher.clone(),
         exec,
         Arc::clone(&ctx.programs),
         wal,
@@ -1032,7 +998,6 @@ fn build_promoted_server(
     ctx: &RebuildCtx,
     id: ServerId,
     net: &Arc<dyn Transport<ServerMsg>>,
-    batcher: &Option<Batcher<ServerMsg>>,
     history: &Option<Arc<History>>,
     partition: Arc<Partition>,
 ) -> Result<(Arc<Server>, Vec<std::thread::JoinHandle<()>>)> {
@@ -1049,7 +1014,6 @@ fn build_promoted_server(
         partition,
         epoch,
         Arc::clone(net),
-        batcher.clone(),
         exec,
         Arc::clone(&ctx.programs),
         wal,
@@ -1119,7 +1083,6 @@ pub struct Cluster {
     servers: Arc<ServerSlots>,
     em: Option<EpochManager>,
     net: Arc<dyn Transport<ServerMsg>>,
-    batcher: Option<Batcher<ServerMsg>>,
     /// Per-server thread groups (dispatcher + processors), index-aligned
     /// with the slots, so a kill joins exactly its victim's threads.
     server_threads: Mutex<Vec<Vec<std::thread::JoinHandle<()>>>>,
@@ -1261,11 +1224,7 @@ impl Cluster {
         if let Some(em) = &self.em {
             root.push_child(em.stats().snapshot());
         }
-        let mut net = self.net.snapshot();
-        if let Some(batcher) = &self.batcher {
-            batcher.stats().export(&mut net);
-        }
-        root.push_child(net);
+        root.push_child(self.net.snapshot());
         if let Some(control) = self.control_snapshot() {
             root.push_child(control);
         }
@@ -1413,9 +1372,6 @@ impl Cluster {
             server.stats().reset();
             server.exec().stats().reset();
         }
-        if let Some(batcher) = &self.batcher {
-            batcher.stats().reset();
-        }
         if let Some(gates) = &self.gates {
             for gate in gates.iter() {
                 gate.reset_stats();
@@ -1542,7 +1498,6 @@ impl Cluster {
                 &self.rebuild,
                 id,
                 &self.net,
-                &self.batcher,
                 &self.history,
                 Arc::clone(standby.partition()),
             )?;
@@ -1569,7 +1524,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Config`] if the server is still running,
+    /// Returns [`Error::Config`] if the server is still running or the
+    /// cluster has no durable log to recover it from (without one the
+    /// restart would bring back an empty partition),
     /// [`Error::Io`] when the log is damaged beyond a torn tail.
     pub fn restart_server(&self, id: ServerId) -> Result<RecoveryReport> {
         let i = id.index();
@@ -1582,8 +1539,12 @@ impl Cluster {
                 id.0
             )));
         }
-        let (server, threads, report) =
-            build_server(&self.rebuild, id, &self.net, &self.batcher, &self.history)?;
+        if self.rebuild.config.durable_log.is_none() {
+            return Err(Error::Config(
+                "restart requires a durable log (ClusterConfig::with_durable_log)".into(),
+            ));
+        }
+        let (server, threads, report) = build_server(&self.rebuild, id, &self.net, &self.history)?;
         self.server_threads.lock()[i] = threads;
         self.servers.set(i, server);
         self.availability.note_restart(id.0);
@@ -1679,12 +1640,6 @@ impl Cluster {
         self.aux_stop.store(true, Ordering::SeqCst);
         if let Some(em) = self.em.take() {
             em.close();
-        }
-        // Flush and retire the batching layer first so nothing queued ends
-        // up behind the Shutdown messages below (post-shutdown sends go
-        // direct to the bus).
-        if let Some(batcher) = &self.batcher {
-            batcher.shutdown();
         }
         let servers = self.servers.all();
         for server in &servers {

@@ -50,7 +50,6 @@ pub mod replication;
 pub mod server;
 pub mod wire;
 
-pub use aloha_net::BatchConfig;
 pub use aloha_storage::Fsync;
 pub use checker::{diff_states, replay_history, CommitRecord, Divergence, History};
 pub use cluster::{

@@ -187,11 +187,6 @@ pub enum ServerMsg {
         /// The standby's post-apply watermark (the replication ack).
         reply: ReplySlot<Timestamp>,
     },
-    /// Batch envelope produced by the [`aloha_net::Batcher`]: several
-    /// messages coalesced toward one destination. The dispatcher unpacks it
-    /// in order; the fault layer drops/duplicates/reorders whole envelopes,
-    /// so retry semantics are those of the inner messages.
-    Batch(Vec<ServerMsg>),
     /// Cluster shutdown: the dispatcher exits after processing this.
     Shutdown,
 }
@@ -221,9 +216,10 @@ impl ServerMsg {
         }
     }
 
-    /// Rough on-wire payload size, used by the [`aloha_net::Batcher`] byte
-    /// threshold. Counts variable payload (keys, values, args) plus a fixed
-    /// per-message overhead; exact framing doesn't matter for a threshold.
+    /// Rough on-wire payload size, used to presize the wire codec's encode
+    /// buffer. Counts variable payload (keys, values, args) plus a fixed
+    /// per-message overhead; exact framing doesn't matter for a capacity
+    /// hint.
     pub fn approx_bytes(&self) -> usize {
         const HEADER: usize = 24;
         fn functor_bytes(f: &Functor) -> usize {
@@ -254,7 +250,6 @@ impl ServerMsg {
                 ServerMsg::ShipBatch { frames, .. } => {
                     frames.iter().map(|(_, f)| f.len() + 8).sum()
                 }
-                ServerMsg::Batch(msgs) => msgs.iter().map(ServerMsg::approx_bytes).sum(),
                 ServerMsg::Grant(_)
                 | ServerMsg::Revoke(_)
                 | ServerMsg::RevokedAck(_)

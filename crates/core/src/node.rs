@@ -15,10 +15,10 @@
 //!   so nodes measure time with [`UnixClock`] against a Unix-epoch origin
 //!   the launcher picks once and passes to every process — the paper's
 //!   NTP-synchronized-clocks model (§V-A3).
-//! * **No fault injection, no batching, no replication:** those layers are
-//!   exercised by the in-process suites; a node is the minimal deployable
-//!   server. Durable logging is available, since crash-recovery of a real
-//!   process is exactly what multi-process tests kill and restart.
+//! * **No fault injection, no replication:** those layers are exercised
+//!   by the in-process suites; a node is the minimal deployable server.
+//!   Durable logging is available, since crash-recovery of a real process
+//!   is exactly what multi-process tests kill and restart.
 //! * **Shutdown is local:** a node stops its own server and (on node 0) the
 //!   epoch manager; the launcher orchestrates deployment-wide shutdown
 //!   order.
@@ -239,7 +239,6 @@ impl NodeBuilder {
             partition,
             epoch,
             Arc::clone(&net),
-            None,
             exec,
             Arc::new(self.programs),
             wal,

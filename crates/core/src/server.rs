@@ -15,7 +15,7 @@ use aloha_common::{Error, Key, Result, ServerId, Timestamp, Value};
 use aloha_control::Permit;
 use aloha_epoch::{EpochClient, Grant, RevokedAck};
 use aloha_functor::{Functor, VersionedRead};
-use aloha_net::{reply_pair, Addr, Batcher, Endpoint, Executor, ReplyHandle, ReplySlot, Transport};
+use aloha_net::{reply_pair, Addr, Endpoint, Executor, ReplyHandle, ReplySlot, Transport};
 use aloha_replica::ShipFeed;
 use aloha_storage::{
     read_log, ChainRead, ComputeEnv, DurableLog, FinalForm, Partition,
@@ -173,10 +173,6 @@ pub struct Server {
     partition: Arc<Partition>,
     epoch: Arc<EpochClient>,
     net: Arc<dyn Transport<ServerMsg>>,
-    /// Destination-coalescing layer over the transport (`None` → every message is
-    /// sent individually, the pre-batching behavior). Shared cluster-wide so
-    /// different servers' traffic toward one destination coalesces too.
-    batcher: Option<Batcher<ServerMsg>>,
     /// Bounded two-lane executor for dispatched backend work: per-key
     /// message handling on the sharded lane, cross-partition recursion on
     /// the blocking lane (see `aloha_net::exec`).
@@ -399,7 +395,6 @@ impl Server {
         partition: Arc<Partition>,
         epoch: Arc<EpochClient>,
         net: Arc<dyn Transport<ServerMsg>>,
-        batcher: Option<Batcher<ServerMsg>>,
         exec: Executor,
         programs: Arc<ProgramRegistry>,
         wal: Option<WalSink>,
@@ -432,7 +427,6 @@ impl Server {
             partition,
             epoch,
             net,
-            batcher,
             exec,
             programs,
             queue_tx,
@@ -524,11 +518,6 @@ impl Server {
     pub(crate) fn mark_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.epoch.shutdown();
-        // Nothing may sit in a queue past shutdown: late replies resolve
-        // in-flight waiters faster than their timeouts would.
-        if let Some(b) = &self.batcher {
-            b.flush();
-        }
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
@@ -545,25 +534,14 @@ impl Server {
     // and resolves have no side effects.
     // ------------------------------------------------------------------
 
-    /// Sends a one-way message through the batching layer when one is
-    /// configured, or directly onto the transport otherwise.
+    /// Sends a one-way message to server `to` over the transport.
     fn send_msg(&self, to: ServerId, msg: ServerMsg) -> Result<()> {
-        match &self.batcher {
-            Some(b) => b.send(Addr::Server(to), msg),
-            None => self.net.send(Addr::Server(to), msg),
-        }
+        self.net.send(Addr::Server(to), msg)
     }
 
     /// Sends an idempotent request and waits for the reply, retransmitting
-    /// on timeout up to [`RPC_ATTEMPTS`] times. The initial send rides the
-    /// batching layer; retransmissions go direct (see [`Server::wait_retry`]):
-    /// a retry means the request is already late, so batching it again only
-    /// delays recovery.
-    fn rpc_batched<R>(
-        &self,
-        to: ServerId,
-        mut make: impl FnMut(ReplySlot<R>) -> ServerMsg,
-    ) -> Result<R> {
+    /// on timeout up to [`RPC_ATTEMPTS`] times (see [`Server::wait_retry`]).
+    fn rpc<R>(&self, to: ServerId, mut make: impl FnMut(ReplySlot<R>) -> ServerMsg) -> Result<R> {
         let (slot, handle) = reply_pair();
         self.send_msg(to, make(slot))?;
         self.wait_retry(handle, to, make)
@@ -587,7 +565,7 @@ impl Server {
                         return Err(e);
                     }
                     let (slot, next) = reply_pair();
-                    self.net.send(Addr::Server(to), make(slot))?;
+                    self.send_msg(to, make(slot))?;
                     handle = next;
                 }
                 Err(e) => return Err(e),
@@ -771,10 +749,6 @@ impl Server {
             // that is still in flight when its abort lands is harmless:
             // `abort_version` pre-inserts the ABORTED record and the late
             // install becomes a first-write-wins no-op.
-            // The abort round is deliberately unbatched: it executes while
-            // the epoch is held open, so every microsecond of batching delay
-            // extends the epoch for all concurrent transactions. Rollback
-            // messages go straight onto the transport.
             let mut abort_acks = Vec::new();
             for (owner, keys) in participants {
                 let pairs: Arc<Vec<(Key, Timestamp)>> =
@@ -785,8 +759,8 @@ impl Server {
                     }
                 } else {
                     let (slot, handle) = reply_pair();
-                    let _ = self.net.send(
-                        Addr::Server(*owner),
+                    let _ = self.send_msg(
+                        *owner,
                         ServerMsg::AbortVersion {
                             keys: Arc::clone(&pairs),
                             reply: slot,
@@ -1157,7 +1131,7 @@ impl Server {
         if self.owner_of(key) == self.id {
             self.resolve_local(key, version)
         } else {
-            self.rpc_batched(self.owner_of(key), |reply| ServerMsg::ResolveVersion {
+            self.rpc(self.owner_of(key), |reply| ServerMsg::ResolveVersion {
                 key: key.clone(),
                 version,
                 reply,
@@ -1492,12 +1466,6 @@ impl Server {
         drop(inflight);
         *pending = keep;
         drop(pending);
-        // Epoch close is the batching layer's hard boundary: whatever is
-        // still queued belongs to work of the epoch that just settled (or
-        // earlier) and must not wait out another deadline.
-        if let Some(b) = &self.batcher {
-            b.flush();
-        }
         // Push-cache entries two grants old can no longer be needed.
         let mut prev = self.prev_settled.lock();
         self.partition.push_cache().clear_below(*prev);
@@ -1572,7 +1540,7 @@ impl ComputeEnv for Server {
         if owner == self.id {
             return self.partition.get(key, bound, self.as_env());
         }
-        self.rpc_batched(owner, |reply| ServerMsg::RemoteGet {
+        self.rpc(owner, |reply| ServerMsg::RemoteGet {
             key: key.clone(),
             bound,
             reply,
@@ -1642,7 +1610,7 @@ impl ComputeEnv for Server {
             self.partition.store().put(key, version, functor);
             return Ok(());
         }
-        self.rpc_batched(owner, |reply| ServerMsg::InstallDeferred {
+        self.rpc(owner, |reply| ServerMsg::InstallDeferred {
             key: key.clone(),
             version,
             functor: functor.clone(),
@@ -1655,7 +1623,7 @@ impl ComputeEnv for Server {
         if owner == self.id {
             return self.partition.compute(key, upto, self.as_env());
         }
-        self.rpc_batched(owner, |reply| ServerMsg::ResolveVersion {
+        self.rpc(owner, |reply| ServerMsg::ResolveVersion {
             key: key.clone(),
             version: upto,
             reply,
@@ -1831,14 +1799,6 @@ pub(crate) fn run_dispatcher(server: Arc<Server>, endpoint: Endpoint<ServerMsg>)
 fn handle_msg(server: &Arc<Server>, msg: ServerMsg) -> std::ops::ControlFlow<()> {
     use std::ops::ControlFlow;
     match msg {
-        // A batch envelope is unpacked in order; its members are handled
-        // exactly as if they had arrived individually. A Shutdown inside a
-        // batch still stops the dispatcher (after the preceding members).
-        ServerMsg::Batch(msgs) => {
-            for inner in msgs {
-                handle_msg(server, inner)?;
-            }
-        }
         ServerMsg::Grant(grant) => server.handle_grant(grant),
         ServerMsg::Revoke(epoch) => {
             if server.epoch.on_revoke(epoch) {

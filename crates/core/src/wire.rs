@@ -40,7 +40,7 @@ use crate::program::{Check, Write};
 pub struct ServerMsgCodec;
 
 // Variant tags. Stable on the wire: append new variants, never renumber.
-// Tag 10 is retired and must not be reused.
+// Tags 10 and 11 are retired and must not be reused.
 const TAG_GRANT: u8 = 0;
 const TAG_REVOKE: u8 = 1;
 const TAG_REVOKED_ACK: u8 = 2;
@@ -51,7 +51,6 @@ const TAG_REMOTE_GET_BATCH: u8 = 6;
 const TAG_INSTALL_DEFERRED: u8 = 7;
 const TAG_RESOLVE_VERSION: u8 = 8;
 const TAG_PUSH_VALUE: u8 = 9;
-const TAG_BATCH: u8 = 11;
 const TAG_SHUTDOWN: u8 = 12;
 const TAG_SNAPSHOT_READ: u8 = 13;
 const TAG_SNAPSHOT_READ_BATCH: u8 = 14;
@@ -204,15 +203,6 @@ fn encode_msg(msg: &ServerMsg, pending: &PendingReplies, w: &mut Writer) -> Resu
                 w.put_u64(*version).put_bytes(frame);
             }
             w.put_u64(register_reply(pending, reply, decode_timestamp));
-        }
-        ServerMsg::Batch(msgs) => {
-            w.put_u8(TAG_BATCH);
-            put_len(w, msgs.len())?;
-            for inner in msgs {
-                let mut iw = Writer::with_capacity(inner.approx_bytes() + 16);
-                encode_msg(inner, pending, &mut iw)?;
-                w.put_bytes(&iw.into_bytes());
-            }
         }
         ServerMsg::Shutdown => {
             w.put_u8(TAG_SHUTDOWN);
@@ -383,23 +373,6 @@ fn decode_msg(r: &mut Reader<'_>, replier: &RemoteReplier) -> Result<ServerMsg> 
                 frames: Arc::new(frames),
                 reply: remote_slot(replier, corr, encode_timestamp),
             }
-        }
-        TAG_BATCH => {
-            let count = r.get_u32()?;
-            let mut msgs = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let bytes = r.get_bytes_shared()?;
-                let mut ir = Reader::shared(&bytes);
-                let inner = decode_msg(&mut ir, replier)?;
-                if !ir.is_empty() {
-                    return Err(Error::Codec(format!(
-                        "trailing bytes after batched ServerMsg: {} left",
-                        ir.remaining()
-                    )));
-                }
-                msgs.push(inner);
-            }
-            ServerMsg::Batch(msgs)
         }
         TAG_SHUTDOWN => ServerMsg::Shutdown,
         other => return Err(Error::Codec(format!("unknown ServerMsg tag {other}"))),
@@ -1064,31 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_round_trip_preserves_order_and_replies() {
-        let (slot, handle) = reply_pair();
-        let msg = ServerMsg::Batch(vec![
-            ServerMsg::Revoke(EpochId(1)),
-            ServerMsg::RemoteGet {
-                key: Key::from("k"),
-                bound: Timestamp::from_raw(3),
-                reply: slot,
-            },
-            ServerMsg::Shutdown,
-        ]);
-        let ServerMsg::Batch(msgs) = round_trip(&msg) else {
-            panic!("wrong variant");
-        };
-        assert_eq!(msgs.len(), 3);
-        assert!(matches!(msgs[0], ServerMsg::Revoke(EpochId(1))));
-        assert!(matches!(msgs[2], ServerMsg::Shutdown));
-        let ServerMsg::RemoteGet { reply, .. } = msgs.into_iter().nth(1).unwrap() else {
-            panic!("wrong inner variant");
-        };
-        reply.send(Ok(VersionedRead::missing()));
-        assert!(handle.wait().expect("reply").expect("ok").value.is_none());
-    }
-
-    #[test]
     fn error_codec_round_trips_every_variant() {
         let errors = vec![
             Error::Codec("bad".into()),
@@ -1131,6 +1079,13 @@ mod tests {
         assert!(ServerMsgCodec
             .decode(&Bytes::from_static(&[0xEE]), &replier)
             .is_err());
+        // Retired tags stay undecodable, even with a plausible body (an
+        // empty count for the old batch envelope, tag 11).
+        for tag in [10, 11] {
+            assert!(ServerMsgCodec
+                .decode(&Bytes::copy_from_slice(&[tag, 0, 0, 0, 0]), &replier)
+                .is_err());
+        }
         // Truncated Grant.
         assert!(ServerMsgCodec
             .decode(&Bytes::from_static(&[TAG_GRANT, 0, 0]), &replier)

@@ -9,10 +9,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use aloha_common::tempdir::TempDir;
 use aloha_common::{Error, Key, PartitionId, ServerId, Timestamp, Value};
 use aloha_core::{
-    fn_program, Cluster, ClusterConfig, PartialReplicationSpec, ProgramId, ServerMsg,
-    ServerMsgCodec, TxnPlan,
+    fn_program, Cluster, ClusterConfig, DurableLogSpec, PartialReplicationSpec, ProgramId,
+    ServerMsg, ServerMsgCodec, TxnPlan,
 };
 use aloha_functor::{
     ComputeInput, Functor, HandlerId, HandlerOutput, HandlerRegistry, UserFunctor,
@@ -185,17 +186,21 @@ fn promotion_preserves_state_and_serves_without_restart() {
 #[test]
 fn unreplicated_partition_stays_down_until_restart() {
     let total = 3u16;
-    // Budget 1, pinned elsewhere: ServerId(0) holds no standby.
+    let dir = TempDir::new("pr-unreplicated");
+    // Budget 1, pinned elsewhere: ServerId(0) holds no standby, so its
+    // only way back is a restart from the durable log.
     let spec = PartialReplicationSpec::new(1).with_pinned(vec![2]);
     let cluster = builder_with_programs(
         ClusterConfig::new(total)
             .with_epoch_duration(Duration::from_millis(2))
+            .with_durable_log(DurableLogSpec::new(dir.path()))
             .with_partial_replication_spec(spec),
     )
     .start()
     .unwrap();
     let db = cluster.database();
-    increment_n(&db, &key_on(0, total), 3);
+    let key = key_on(0, total);
+    increment_n(&db, &key, 3);
 
     cluster.kill_server(ServerId(0)).unwrap();
     // No standby, no promotion: the slot stays down (a second kill reports
@@ -207,6 +212,12 @@ fn unreplicated_partition_stays_down_until_restart() {
     ));
     cluster.restart_server(ServerId(0)).unwrap();
     assert_eq!(cluster.availability().restarts(), 1);
+    let after = db.read_latest(std::slice::from_ref(&key)).unwrap();
+    assert_eq!(
+        after[0].as_ref().and_then(Value::as_i64),
+        Some(3),
+        "the restart must recover the partition from its durable log"
+    );
     cluster.shutdown();
 }
 

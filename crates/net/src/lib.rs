@@ -23,7 +23,6 @@
 //! assert_eq!(envelope, "hello");
 //! ```
 
-pub mod batch;
 pub mod bus;
 pub mod delay;
 pub mod exec;
@@ -32,7 +31,6 @@ pub mod reply;
 pub mod tcp;
 pub mod transport;
 
-pub use batch::{BatchConfig, BatchStats, Batcher};
 pub use bus::{recv_while, Addr, Bus, Endpoint};
 pub use delay::{DelayLine, NetConfig};
 pub use exec::{ExecConfig, ExecStats, Executor};

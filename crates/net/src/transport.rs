@@ -1,6 +1,6 @@
 //! The pluggable transport abstraction.
 //!
-//! Everything above the network — batcher, executor, fault harnesses, both
+//! Everything above the network — executor, fault harnesses, both
 //! engines — talks to the cluster through [`Transport`], not through a
 //! concrete [`Bus`]. The in-process [`Bus`] is the default implementation
 //! (bit-for-bit the old behavior, including the fault/delay layers); the

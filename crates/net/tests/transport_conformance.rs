@@ -4,8 +4,8 @@
 //!
 //! Every property here is one the engines lean on:
 //!
-//! * **FIFO per peer** — the batcher coalesces and the epoch protocol
-//!   assumes one sender's messages to one destination arrive in order;
+//! * **FIFO per peer** — the epoch protocol assumes one sender's messages
+//!   to one destination arrive in order;
 //! * **no loss under `send_reliable`** — the control plane (grants,
 //!   revokes, shutdown) runs on it with no retry layer;
 //! * **deregister while sending** — cluster teardown races sends against

@@ -22,8 +22,8 @@ use aloha_db::calvin::{
 };
 use aloha_db::control::ControlConfig;
 use aloha_db::core_engine::{
-    diff_states, fn_program, replay_history, BatchConfig, Cluster, ClusterConfig, CommitRecord,
-    DurableLogSpec, PartialReplicationSpec, ProgramId, ServerMsgCodec, TxnOutcome, TxnPlan,
+    diff_states, fn_program, replay_history, Cluster, ClusterConfig, CommitRecord, DurableLogSpec,
+    PartialReplicationSpec, ProgramId, ServerMsgCodec, TxnOutcome, TxnPlan,
 };
 use aloha_functor::{
     ComputeInput, Functor, HandlerId, HandlerOutput, HandlerRegistry, UserFunctor,
@@ -128,11 +128,10 @@ fn failure_report(
 
 fn aloha_chaos_run(
     seed: u64,
-    batch: Option<BatchConfig>,
     exec: Option<ExecConfig>,
     control: Option<ControlConfig>,
 ) -> Result<(), String> {
-    aloha_chaos_run_tuned(seed, batch, exec, control, |c| c).map(|_| ())
+    aloha_chaos_run_tuned(seed, exec, control, |c| c).map(|_| ())
 }
 
 /// [`aloha_chaos_run`] with a hook over the cluster configuration, so chaos
@@ -141,7 +140,6 @@ fn aloha_chaos_run(
 /// can assert on engine internals (e.g. that compaction actually folded).
 fn aloha_chaos_run_tuned(
     seed: u64,
-    batch: Option<BatchConfig>,
     exec: Option<ExecConfig>,
     control: Option<ControlConfig>,
     tune: impl FnOnce(ClusterConfig) -> ClusterConfig,
@@ -150,16 +148,12 @@ fn aloha_chaos_run_tuned(
     const THREADS: usize = 2;
     const TXNS_PER_THREAD: usize = 80;
 
-    let batched = batch.is_some();
     let plan = fault_plan(seed);
     let mut config = ClusterConfig::new(3)
         .with_epoch_duration(Duration::from_millis(2))
         .with_net(NetConfig::instant().with_fault(plan.clone()))
         .with_rpc_timeout(Duration::from_millis(25))
         .with_history();
-    if let Some(batch) = batch {
-        config = config.with_batching(batch);
-    }
     if let Some(exec) = exec {
         config = config.with_exec(exec);
     }
@@ -218,24 +212,6 @@ fn aloha_chaos_run_tuned(
         "fault layer injected nothing under seed {seed} with {plan}"
     );
 
-    // In batched runs the traffic must actually have flowed through the
-    // batcher — including across the partition heal, where queued envelopes
-    // are (re)flushed and retried until the isolated server answers again.
-    if batched {
-        let snapshot = cluster.snapshot();
-        let net = snapshot
-            .child("net")
-            .expect("cluster snapshot exports a net node");
-        assert!(
-            net.counter("batch_enqueued").unwrap_or(0) > 0,
-            "batched chaos run never enqueued into the batcher under seed {seed}"
-        );
-        assert!(
-            net.counter("batch_batches").unwrap_or(0) > 0,
-            "batched chaos run never flushed a batch under seed {seed}"
-        );
-    }
-
     // Snapshot the recorded history and read the cluster's final state.
     let final_snapshot = cluster.snapshot();
     let mut records = cluster
@@ -267,25 +243,8 @@ fn aloha_chaos_run_tuned(
 #[test]
 fn aloha_serializable_under_drops_dups_reorders_and_partition() {
     for seed in seeds() {
-        if let Err(msg) = aloha_chaos_run(seed, None, None, None) {
+        if let Err(msg) = aloha_chaos_run(seed, None, None) {
             panic!("{msg}");
-        }
-    }
-}
-
-/// Seeds for the batched chaos sweep: the default sweep plus one more, so
-/// batching is exercised under at least four distinct fault schedules.
-const BATCHED_EXTRA_SEEDS: [u64; 1] = [31337];
-
-#[test]
-fn aloha_serializable_under_chaos_with_batching() {
-    let mut swept = seeds();
-    if std::env::var("CHAOS_SEED").is_err() {
-        swept.extend(BATCHED_EXTRA_SEEDS);
-    }
-    for seed in swept {
-        if let Err(msg) = aloha_chaos_run(seed, Some(BatchConfig::default()), None, None) {
-            panic!("batched run: {msg}");
         }
     }
 }
@@ -301,7 +260,7 @@ fn serializable_under_chaos_with_pool_size_one() {
         .with_sharded_workers(1)
         .with_blocking_workers(1);
     for seed in seeds() {
-        if let Err(msg) = aloha_chaos_run(seed, None, Some(tiny.clone()), None) {
+        if let Err(msg) = aloha_chaos_run(seed, Some(tiny.clone()), None) {
             panic!("pool-size-1 run: {msg}");
         }
         if let Err(msg) = calvin_chaos_run(seed, Some(tiny.clone()), None) {
@@ -335,7 +294,7 @@ fn compacted_records(node: &StatsSnapshot) -> u64 {
 #[test]
 fn aloha_serializable_under_chaos_with_aggressive_compaction() {
     for seed in seeds() {
-        match aloha_chaos_run_tuned(seed, None, None, None, |c| {
+        match aloha_chaos_run_tuned(seed, None, None, |c| {
             c.with_compaction(Duration::from_millis(2), 1)
         }) {
             Ok(snapshot) => {
@@ -359,12 +318,16 @@ fn aloha_serializable_under_chaos_with_aggressive_compaction() {
 // covers the reader's own latest committed write (read-your-writes).
 // ---------------------------------------------------------------------
 
-/// Seeds for the snapshot-read chaos sweep: the default sweep plus the
-/// batched extra, so the fast path sees at least four fault schedules.
+/// Seeds the snapshot-read sweep adds to the default ones.
+const SNAPSHOT_EXTRA_SEEDS: [u64; 1] = [31337];
+
+/// Seeds for the snapshot-read chaos sweep: the default sweep plus
+/// [`SNAPSHOT_EXTRA_SEEDS`], so the fast path sees at least four fault
+/// schedules.
 fn snapshot_seeds() -> Vec<u64> {
     let mut swept = seeds();
     if std::env::var("CHAOS_SEED").is_err() {
-        swept.extend(BATCHED_EXTRA_SEEDS);
+        swept.extend(SNAPSHOT_EXTRA_SEEDS);
     }
     swept
 }
@@ -830,7 +793,7 @@ fn calvin_serializable_under_drops_dups_reorders_and_partition() {
 fn serializable_under_chaos_with_adaptive_pacer() {
     for seed in seeds() {
         let aloha_control = ControlConfig::adaptive(Duration::from_millis(2));
-        if let Err(msg) = aloha_chaos_run(seed, None, None, Some(aloha_control)) {
+        if let Err(msg) = aloha_chaos_run(seed, None, Some(aloha_control)) {
             panic!("adaptive-pacer run: {msg}");
         }
         let calvin_control = ControlConfig::adaptive(Duration::from_millis(5));

@@ -14,8 +14,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aloha_common::tempdir::TempDir;
-use aloha_common::{Key, PartitionId, ServerId, Timestamp, Value};
-use aloha_db::core_engine::{Cluster, ClusterConfig, DurableLogSpec, ProgramId, TxnPlan};
+use aloha_common::{Error, Key, PartitionId, ServerId, Timestamp, Value};
+use aloha_db::core_engine::{
+    Cluster, ClusterConfig, DurableLogSpec, PartialReplicationSpec, ProgramId, TxnPlan,
+};
 use aloha_functor::{Functor, HandlerRegistry};
 use aloha_storage::{
     replay_records, restore_checkpoint, DurableLog, DurableLogConfig, LocalOnlyEnv, LogDamage,
@@ -238,6 +240,43 @@ fn incr_all(db: &aloha_db::core_engine::Database, keys: &[Key], times: usize) {
         .collect();
     for h in handles {
         h.wait_processed().unwrap();
+    }
+}
+
+/// Without a durable log there is nothing to recover a killed partition
+/// from, so a restart is refused instead of bringing the partition back
+/// empty — also when an in-memory WAL is on, directly or because partial
+/// replication (its standby pinned elsewhere) enabled it to ship from.
+#[test]
+fn aloha_restart_requires_durable_log() {
+    let setups = [
+        ("no wal", ClusterConfig::new(3)),
+        ("memory wal", ClusterConfig::new(3).with_memory_wal()),
+        (
+            "replication pinned elsewhere",
+            ClusterConfig::new(3)
+                .with_partial_replication_spec(PartialReplicationSpec::new(1).with_pinned(vec![2])),
+        ),
+    ];
+    for (name, config) in setups {
+        let mut builder = Cluster::builder(config.with_epoch_duration(Duration::from_millis(2)));
+        builder.register_program(
+            INCR,
+            aloha_db::core_engine::fn_program(|ctx| {
+                Ok(TxnPlan::new().write(Key::from(ctx.args), Functor::add(1)))
+            }),
+        );
+        let cluster = builder.start().unwrap();
+        let db = cluster.database();
+        incr_all(&db, &[reg_key(0)], 3);
+        cluster.kill_server(ServerId(0)).unwrap();
+        let restarted = cluster.restart_server(ServerId(0));
+        assert!(
+            matches!(restarted, Err(Error::Config(_))),
+            "{name}: restart without a durable log must be refused, got {restarted:?}"
+        );
+        assert_eq!(cluster.availability().restarts(), 0, "{name}");
+        cluster.shutdown();
     }
 }
 

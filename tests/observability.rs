@@ -93,68 +93,6 @@ fn aloha_ycsb_snapshot_reports_all_six_stages() {
     cluster.shutdown();
 }
 
-/// With batching enabled the same six-stage schema must hold, and the `net`
-/// node additionally carries the batcher's counters and its occupancy
-/// distribution.
-#[test]
-fn aloha_batched_snapshot_adds_batch_metrics_to_net_node() {
-    let cfg = YcsbConfig::with_contention_index(2, 0.01).with_keys_per_partition(1_000);
-    let mut builder = Cluster::builder(
-        ClusterConfig::new(2)
-            .with_epoch_duration(Duration::from_millis(5))
-            .with_processors(2)
-            .with_batching(aloha_core::BatchConfig::default()),
-    );
-    ycsb::install_aloha(&mut builder);
-    let cluster = builder.start().unwrap();
-    ycsb::load_aloha(&cluster, &cfg);
-    let target = ycsb::AlohaYcsb::new(cluster.database(), cfg.clone());
-    cluster.reset_stats();
-    let report = run_windowed(&target, &driver());
-    assert!(
-        report.committed > 0,
-        "batched workload must commit transactions"
-    );
-    // Snapshot reads must flow through the batched transport, too.
-    let db = cluster.database();
-    for idx in 0..4 {
-        let values = db
-            .read_latest(&[cfg.key(0, idx), cfg.key(1, idx)])
-            .expect("snapshot read succeeds");
-        assert_eq!(values.len(), 2);
-    }
-
-    let snapshot = cluster.snapshot();
-    assert_six_stage_schema(&snapshot, "aloha-batched");
-    let net = snapshot.child("net").expect("net subtree");
-    for counter in [
-        "batch_enqueued",
-        "batch_batches",
-        "batch_flush_size",
-        "batch_flush_bytes",
-        "batch_flush_deadline",
-        "batch_flush_explicit",
-    ] {
-        assert!(
-            net.counter(counter).is_some(),
-            "net node must export '{counter}'"
-        );
-    }
-    assert!(
-        net.counter("batch_enqueued").unwrap() > 0,
-        "batched run must route traffic through the batcher"
-    );
-    assert!(
-        net.counter("batch_batches").unwrap() > 0,
-        "batched run must flush envelopes"
-    );
-    let occupancy = net
-        .stage("batch_occupancy")
-        .expect("net node must export the batch_occupancy distribution");
-    assert!(occupancy.count > 0, "occupancy histogram has no samples");
-    cluster.shutdown();
-}
-
 #[test]
 fn calvin_ycsb_snapshot_reports_all_six_stages() {
     let cfg = YcsbConfig::with_contention_index(2, 0.01).with_keys_per_partition(1_000);
